@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -22,12 +26,31 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+/// Parses all of `text` as a number in [lo, hi]: no surrounding bytes, no
+/// sign on unsigned types, no overflow, and a finite value for floating
+/// point. `*out` is written only on success.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out,
+                 T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max(), int base = 10) {
+  T value{};
+  const char* end = text.data() + text.size();
+  std::from_chars_result parsed;
+  if constexpr (std::is_floating_point_v<T>) {
+    parsed = std::from_chars(text.data(), end, value);
+    if (!std::isfinite(value)) return false;
+  } else {
+    parsed = std::from_chars(text.data(), end, value, base);
   }
+  if (parsed.ec != std::errc() || parsed.ptr != end) return false;
+  if (value < lo || value > hi) return false;
+  *out = value;
   return true;
+}
+
+/// A vertex id on the wire: any VertexId except the kInvalidVertex sentinel.
+bool ParseVertexId(std::string_view text, VertexId* out) {
+  return ParseNumber<VertexId>(text, out, 0, kInvalidVertex - 1);
 }
 
 std::string ErrBlock(const Status& status) {
@@ -53,11 +76,11 @@ Status ParseKeywords(const std::string& spec, const LabelDictionary* dict,
         continue;
       }
     }
-    if (!AllDigits(kw)) {
+    LabelId l;
+    if (!ParseNumber<LabelId>(kw, &l, 0, kInvalidLabel - 1)) {
       return Status::InvalidArgument("unknown keyword '" + kw + "'");
     }
-    out->push_back(static_cast<LabelId>(std::strtoul(kw.c_str(), nullptr,
-                                                     10)));
+    out->push_back(l);
   }
   if (out->empty()) {
     return Status::InvalidArgument("no keywords in '" + spec + "'");
@@ -76,22 +99,27 @@ bool ApplyOption(const std::string& token, EngineQuery* q,
   }
   std::string key = token.substr(0, eq);
   std::string value = token.substr(eq + 1);
+  bool valid = true;
   if (key == "top_k") {
-    q->eval.top_k = static_cast<size_t>(std::strtoul(value.c_str(), nullptr,
-                                                     10));
+    valid = ParseNumber(value, &q->eval.top_k);
   } else if (key == "layer") {
-    q->eval.forced_layer = std::atoi(value.c_str());
+    valid = ParseNumber(value, &q->eval.forced_layer, -1);  // -1 = auto
   } else if (key == "deadline_ms") {
-    q->eval.deadline = Deadline::After(std::atof(value.c_str()));
+    // Any finite budget: a non-positive one is already expired.
+    double ms;
+    valid = ParseNumber(value, &ms);
+    if (valid) q->eval.deadline = Deadline::After(ms);
   } else if (key == "exact") {
-    q->eval.exact_verification = value != "0";
+    valid = value == "0" || value == "1";
+    q->eval.exact_verification = value == "1";
   } else if (key == "beta") {
-    q->eval.beta = std::atof(value.c_str());
+    valid = ParseNumber(value, &q->eval.beta, 0.0, 1.0);  // a convex weight
   } else {
     *error = "unknown option '" + key + "'";
     return false;
   }
-  return true;
+  if (!valid) *error = "bad value '" + value + "' for option '" + key + "'";
+  return valid;
 }
 
 std::string HandleTrace(const std::vector<std::string>& tokens) {
@@ -212,12 +240,10 @@ Status ParseUpdateOp(const std::string& token, GraphUpdate* out) {
   } else {
     return Status::InvalidArgument("unknown update op kind '" + kind + "'");
   }
-  if (!AllDigits(u) || !AllDigits(v)) {
+  if (!ParseVertexId(u, &out->source) || !ParseVertexId(v, &out->target)) {
     return Status::InvalidArgument("bad vertex id in update op '" + token +
                                    "'");
   }
-  out->source = static_cast<VertexId>(std::strtoul(u.c_str(), nullptr, 10));
-  out->target = static_cast<VertexId>(std::strtoul(v.c_str(), nullptr, 10));
   return Status::OK();
 }
 
@@ -338,11 +364,11 @@ Status ParseVertexList(const std::string& spec, std::vector<VertexId>* out) {
   std::stringstream in(spec);
   std::string tok;
   while (std::getline(in, tok, ',')) {
-    if (!AllDigits(tok)) {
+    VertexId v;
+    if (!ParseVertexId(tok, &v)) {
       return Status::IOError("bad vertex id '" + tok + "' in answer line");
     }
-    out->push_back(static_cast<VertexId>(std::strtoul(tok.c_str(), nullptr,
-                                                      10)));
+    out->push_back(v);
   }
   return Status::OK();
 }
@@ -381,16 +407,13 @@ Status ParseAnswerLine(const std::string& line, Answer* out) {
     if (key == "root") {
       if (value == "-") {
         out->root = kInvalidVertex;
-      } else if (AllDigits(value)) {
-        out->root = static_cast<VertexId>(std::strtoul(value.c_str(), nullptr,
-                                                       10));
-      } else {
+      } else if (!ParseVertexId(value, &out->root)) {
         return Status::IOError("bad root '" + value + "'");
       }
     } else if (key == "score") {
-      if (!AllDigits(value)) return Status::IOError("bad score '" + value + "'");
-      out->score = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr,
-                                                      10));
+      if (!ParseNumber(value, &out->score)) {
+        return Status::IOError("bad score '" + value + "'");
+      }
     } else if (key == "kw") {
       BIGINDEX_RETURN_IF_ERROR(ParseVertexList(value, &out->keyword_vertices));
     } else if (key == "v") {
@@ -436,30 +459,31 @@ Status ParseInfoLine(const std::string& line, WireInfo* out) {
     if (eq == std::string::npos) continue;
     std::string key = tokens[i].substr(0, eq);
     std::string value = tokens[i].substr(eq + 1);
+    bool valid = true;
     if (key == "epoch") {
       saw_epoch = true;
-      out->epoch = std::strtoull(value.c_str(), nullptr, 10);
+      valid = ParseNumber(value, &out->epoch);
     } else if (key == "checksum") {
-      out->fingerprint = std::strtoull(value.c_str(), nullptr, 16);
+      valid = ParseNumber<uint64_t>(value, &out->fingerprint, 0, UINT64_MAX,
+                                    16);
     } else if (key == "layers") {
-      out->num_layers =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      valid = ParseNumber(value, &out->num_layers);
     } else if (key == "shard") {
       saw_shard = true;
       size_t slash = value.find('/');
-      if (slash == std::string::npos) {
-        return Status::IOError("malformed shard field '" + value + "'");
-      }
-      out->shard_id =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-      out->num_shards = static_cast<uint32_t>(
-          std::strtoul(value.c_str() + slash + 1, nullptr, 10));
+      std::string_view field = value;
+      valid = slash != std::string::npos &&
+              ParseNumber(field.substr(0, slash), &out->shard_id) &&
+              ParseNumber(field.substr(slash + 1), &out->num_shards);
     } else if (key == "algos") {
       std::stringstream in(value);
       std::string name;
       while (std::getline(in, name, ',')) {
         if (!name.empty()) out->algorithms.push_back(name);
       }
+    }
+    if (!valid) {
+      return Status::IOError("malformed INFO field '" + tokens[i] + "'");
     }
   }
   if (!saw_epoch || !saw_shard) {
@@ -491,16 +515,17 @@ Status ParseUpdateOutcomeLine(const std::string& line, UpdateOutcome* out) {
     if (eq == std::string::npos) continue;
     std::string key = tokens[i].substr(0, eq);
     std::string value = tokens[i].substr(eq + 1);
+    bool valid = true;
     if (key == "applied") {
       saw_applied = true;
-      out->applied = std::strtoull(value.c_str(), nullptr, 10);
+      valid = ParseNumber(value, &out->applied);
     } else if (key == "skipped") {
-      out->skipped = std::strtoull(value.c_str(), nullptr, 10);
+      valid = ParseNumber(value, &out->skipped);
     } else if (key == "rebuilt") {
-      out->layers_rebuilt = std::strtoull(value.c_str(), nullptr, 10);
+      valid = ParseNumber(value, &out->layers_rebuilt);
     } else if (key == "epoch") {
       saw_epoch = true;
-      out->epoch = std::strtoull(value.c_str(), nullptr, 10);
+      valid = ParseNumber(value, &out->epoch);
     } else if (key == "mode") {
       if (value == "none") {
         out->mode = UpdateOutcome::Mode::kNone;
@@ -513,6 +538,9 @@ Status ParseUpdateOutcomeLine(const std::string& line, UpdateOutcome* out) {
       } else {
         return Status::IOError("unknown update mode '" + value + "'");
       }
+    }
+    if (!valid) {
+      return Status::IOError("malformed UPDATE field '" + tokens[i] + "'");
     }
   }
   if (!saw_applied || !saw_epoch) {
@@ -536,18 +564,21 @@ Status ParseBoundaryBlock(std::span<const std::string> lines,
     size_t eq = head[i].find('=');
     if (eq == std::string::npos) continue;
     std::string key = head[i].substr(0, eq);
-    const char* value = head[i].c_str() + eq + 1;
+    std::string_view value = std::string_view(head[i]).substr(eq + 1);
+    bool valid = true;
     if (key == "vertices") {
       saw_vertices = true;
-      want_vertices = std::strtoull(value, nullptr, 10);
+      valid = ParseNumber(value, &want_vertices);
     } else if (key == "edges") {
-      want_edges = std::strtoull(value, nullptr, 10);
+      valid = ParseNumber(value, &want_edges);
     } else if (key == "cut") {
       saw_cut = true;
-      want_cut = std::strtoull(value, nullptr, 10);
+      valid = ParseNumber(value, &want_cut);
     } else if (key == "radius") {
-      out->radius_cap =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      valid = ParseNumber(value, &out->radius_cap);
+    }
+    if (!valid) {
+      return Status::IOError("malformed BOUNDARY field '" + head[i] + "'");
     }
   }
   if (!saw_vertices || !saw_cut) {
@@ -556,14 +587,11 @@ Status ParseBoundaryBlock(std::span<const std::string> lines,
   }
   for (size_t i = 1; i < lines.size(); ++i) {
     std::vector<std::string> tokens = Tokenize(lines[i]);
-    if (tokens.size() != 3 ||
-        !AllDigits(tokens[1]) || !AllDigits(tokens[2])) {
+    VertexId first, second;  // a label, not a vertex, in "v" records
+    if (tokens.size() != 3 || !ParseVertexId(tokens[1], &first) ||
+        !ParseVertexId(tokens[2], &second)) {
       return Status::IOError("malformed boundary record '" + lines[i] + "'");
     }
-    auto first = static_cast<VertexId>(
-        std::strtoul(tokens[1].c_str(), nullptr, 10));
-    auto second = static_cast<VertexId>(
-        std::strtoul(tokens[2].c_str(), nullptr, 10));
     if (tokens[0] == "v") {
       out->vertices.emplace_back(first, static_cast<LabelId>(second));
     } else if (tokens[0] == "e") {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -78,6 +79,15 @@ void TcpServer::AcceptLoop() {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ECONNABORTED) {
+        // Transient: the pending connection stays queued until finished
+        // sessions release their fds (or the next one arrives).
+        BIGINDEX_LOG_EVERY_N(kWarning, 100)
+            << "accept on port " << port_ << ": " << std::strerror(errno)
+            << "; retrying";
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       break;  // listen socket shut down (or a fatal accept error)
     }
     std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -85,12 +95,25 @@ void TcpServer::AcceptLoop() {
       ::close(fd);
       break;
     }
-    connections_.emplace_back(
-        fd, std::thread([this, fd] { ServeConnection(fd); }));
+    // Join the sessions that have ended. Each marked itself under this
+    // lock as its last step, so the joins return at once.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->fd >= 0) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections_.erase(it);
+    }
+    Connection& connection = connections_.emplace_back(Connection{fd, {}});
+    connection.thread = std::thread([this, &connection] {
+      ServeConnection(&connection);
+    });
   }
 }
 
-void TcpServer::ServeConnection(int fd) {
+void TcpServer::ServeConnection(Connection* connection) {
+  const int fd = connection->fd;
   LineHandler handler(service_, dict_);
   std::string buffer;
   char chunk[4096];
@@ -112,8 +135,9 @@ void TcpServer::ServeConnection(int fd) {
       if (!WriteAll(fd, result.response) || result.close) open = false;
     }
   }
-  ::shutdown(fd, SHUT_RDWR);
-  // The fd itself is closed by Stop(), which owns the connection table.
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  ::close(fd);
+  connection->fd = -1;
 }
 
 void TcpServer::Stop() {
@@ -129,18 +153,16 @@ void TcpServer::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  std::vector<std::pair<int, std::thread>> connections;
+  // The acceptor is gone, so the table no longer changes shape; sessions
+  // only clear their own fd, under the lock.
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
+    for (const Connection& c : connections_) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);  // unblocks its read()
+    }
   }
-  for (auto& [fd, thread] : connections) {
-    ::shutdown(fd, SHUT_RDWR);  // unblocks the connection's read()
-  }
-  for (auto& [fd, thread] : connections) {
-    thread.join();
-    ::close(fd);
-  }
+  for (Connection& c : connections_) c.thread.join();
+  connections_.clear();
   BIGINDEX_LOG(kInfo) << "tcp server on port " << port_ << " stopped";
 }
 

@@ -6,15 +6,21 @@
 // block). Concurrency, batching, backpressure, and deadlines all live in
 // the service behind it — this layer only moves bytes, so a slow or
 // hostile client can at worst stall its own connection thread.
+//
+// A connection closes its own fd when its session ends, and the acceptor
+// joins finished sessions before it admits the next one, so a long-lived
+// server holds fds and threads only for live connections. When accept()
+// runs out of fds (EMFILE/ENFILE) or the peer aborts (ECONNABORTED), the
+// acceptor backs off briefly and retries instead of going deaf.
 
 #ifndef BIGINDEX_SERVER_TCP_SERVER_H_
 #define BIGINDEX_SERVER_TCP_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "graph/label_dictionary.h"
 #include "server/query_service.h"
@@ -45,7 +51,7 @@ class TcpServer {
   /// failure (e.g. port in use).
   Status Start();
 
-  /// Stops accepting, disconnects every client, joins all threads.
+  /// Stops accepting, disconnects every live client, joins all threads.
   /// Idempotent.
   void Stop();
 
@@ -53,8 +59,13 @@ class TcpServer {
   uint16_t port() const { return port_; }
 
  private:
+  struct Connection {
+    int fd;  // -1 once the session has ended and closed it
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(Connection* connection);
 
   QueryService* service_;
   const LabelDictionary* dict_;
@@ -64,8 +75,8 @@ class TcpServer {
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
-  std::mutex connections_mutex_;
-  std::vector<std::pair<int, std::thread>> connections_;
+  std::mutex connections_mutex_;  // guards every Connection::fd
+  std::list<Connection> connections_;  // only the acceptor and Stop() resize
 };
 
 }  // namespace bigindex

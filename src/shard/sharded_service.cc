@@ -42,7 +42,9 @@ ShardedSearchService::ShardedSearchService(ShardSubstrate* substrate,
                                            ShardedServiceOptions options)
     : substrate_(substrate),
       options_(options),
-      pool_(options.fanout_threads) {}
+      pool_(options.fanout_threads),
+      cache_(options.enable_cache ? options.cache
+                                  : AnswerCacheOptions{.capacity = 0}) {}
 
 Status ShardedSearchService::Attach() {
   const size_t n = substrate_->num_shards();
@@ -88,15 +90,6 @@ Status ShardedSearchService::Attach() {
           std::to_string(s));
     }
   }
-  shards_.clear();
-  for (size_t s = 0; s < n; ++s) {
-    auto per = std::make_unique<PerShard>();
-    if (options_.enable_cache) {
-      per->cache = std::make_unique<AnswerCache>(options_.cache);
-    }
-    per->epoch.store(infos[s].epoch, std::memory_order_release);
-    shards_.push_back(std::move(per));
-  }
   algorithms_ = std::move(infos[0].algorithms);
   // A smaller shard can legitimately summarize away in fewer layers than its
   // siblings (Build stops once a layer stops compressing), so layer counts
@@ -105,7 +98,7 @@ Status ShardedSearchService::Attach() {
   for (const ShardInfo& info : infos) {
     num_layers_ = std::max(num_layers_, info.num_layers);
   }
-  InvalidateRegion();  // re-attach may follow a fleet rebuild
+  AdvanceGeneration();  // re-attach may follow a fleet rebuild
   attached_.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -119,18 +112,25 @@ const KeywordSearchAlgorithm* ShardedSearchService::RegionState::Find(
   return it->second.get();
 }
 
-void ShardedSearchService::InvalidateRegion() {
-  std::lock_guard<std::mutex> lock(region_mutex_);
-  region_.reset();
+uint64_t ShardedSearchService::AdvanceGeneration() {
+  {
+    std::lock_guard<std::mutex> lock(region_mutex_);
+    region_.reset();
+  }
+  cache_.Clear();
+  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
+                            std::memory_order_relaxed);
+  return epoch;
 }
 
 StatusOr<std::shared_ptr<const ShardedSearchService::RegionState>>
 ShardedSearchService::EnsureRegion() {
   std::lock_guard<std::mutex> lock(region_mutex_);
   if (region_ != nullptr) return region_;
+  auto state = std::make_shared<RegionState>();
   std::vector<BoundaryExport> exports;
-  exports.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s = 0; s < num_shards(); ++s) {
     auto ex = substrate_->Boundary(s);
     if (!ex.ok()) {
       // allow_partial already trades exactness for availability on the
@@ -139,6 +139,7 @@ ShardedSearchService::EnsureRegion() {
       // below). Without it, a dead shard fails the query.
       if (options_.allow_partial) {
         shard_failures_.fetch_add(1, std::memory_order_relaxed);
+        state->partial = true;
         continue;
       }
       return Status::Unavailable("shard " + std::to_string(s) +
@@ -149,7 +150,6 @@ ShardedSearchService::EnsureRegion() {
   }
   auto assembled = AssembleBoundaryRegion(exports);
   if (!assembled.ok()) return assembled.status();
-  auto state = std::make_shared<RegionState>();
   state->region = std::move(assembled).value();
   if (state->region.has_cut) {
     for (const std::string& name : algorithms_) {
@@ -234,10 +234,23 @@ StatusOr<QueryResult> ShardedSearchService::Query(EngineQuery query) {
     return Status::DeadlineExceeded("deadline expired before fan-out");
   }
 
+  // The generation is read before the region and the fan-out (header
+  // invariant), so this key never names a result older than its generation.
+  Timer timer;
+  std::string key;
+  if (options_.enable_cache) {
+    key = SearchService::CacheKeyFor(epoch(), query);
+    if (std::shared_ptr<const QueryResult> hit = cache_.Lookup(key)) {
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      latency_.Record(timer.ElapsedMillis());
+      return QueryResult(*hit);
+    }
+  }
+
   // Boundary completion setup: with a cut in the fleet the workers withhold
   // near answers and a per-shard top-k could displace a cut-crossing
-  // answer, so fan out (and cache) with top_k=0 and apply the caller's cut
-  // after the merge. Cut-free fleets take none of this path.
+  // answer, so fan out with top_k=0 and apply the caller's cut after the
+  // merge. Cut-free fleets take none of this path.
   auto region_state = EnsureRegion();
   if (!region_state.ok()) return region_state.status();
   const std::shared_ptr<const RegionState>& region = *region_state;
@@ -245,82 +258,46 @@ StatusOr<QueryResult> ShardedSearchService::Query(EngineQuery query) {
   const size_t original_top_k = query.eval.top_k;
   if (completing) query.eval.top_k = 0;
 
-  Timer timer;
-  const size_t n = shards_.size();
-  std::vector<std::shared_ptr<const QueryResult>> per_shard(n);
-  std::vector<size_t> missing;
-  for (size_t s = 0; s < n; ++s) {
-    if (shards_[s]->cache == nullptr) {
-      missing.push_back(s);
-      continue;
-    }
-    std::string key = SearchService::CacheKeyFor(
-        shards_[s]->epoch.load(std::memory_order_acquire), query);
-    per_shard[s] = shards_[s]->cache->Lookup(key);
-    if (per_shard[s] == nullptr) missing.push_back(s);
-  }
-
-  // Fan out to the shards the caches could not answer. ParallelFor is
-  // re-entrant across threads, so concurrent coordinator queries share the
-  // pool; with fanout_threads=0 this runs inline.
+  // ParallelFor is re-entrant across threads, so concurrent coordinator
+  // queries share the pool; with fanout_threads=0 this runs inline.
+  const size_t n = num_shards();
   std::vector<StatusOr<QueryResult>> fetched(
-      missing.size(), Status::Unavailable("shard fan-out not run"));
-  shard_queries_.fetch_add(missing.size(), std::memory_order_relaxed);
-  pool_.ParallelFor(missing.size(), [&](size_t /*slot*/, size_t i) {
-    fetched[i] = substrate_->Query(missing[i], query);
+      n, Status::Unavailable("shard fan-out not run"));
+  shard_queries_.fetch_add(n, std::memory_order_relaxed);
+  pool_.ParallelFor(n, [&](size_t /*slot*/, size_t s) {
+    fetched[s] = substrate_->Query(s, query);
   });
-
-  bool partial = false;
-  for (size_t i = 0; i < missing.size(); ++i) {
-    size_t s = missing[i];
-    if (!fetched[i].ok()) {
-      shard_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.allow_partial &&
-          fetched[i].status().code() != StatusCode::kInvalidArgument &&
-          fetched[i].status().code() != StatusCode::kNotFound) {
-        partial = true;
-        continue;
-      }
-      if (fetched[i].status().code() == StatusCode::kDeadlineExceeded) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return fetched[i].status();
-    }
-    if (shards_[s]->cache != nullptr) {
-      std::string key = SearchService::CacheKeyFor(
-          shards_[s]->epoch.load(std::memory_order_acquire), query);
-      shards_[s]->cache->Insert(key, *fetched[i]);
-    }
-  }
 
   // Merge: shard vertex sets are disjoint, so concatenation is the union;
   // rank with the same deterministic order a monolithic evaluation uses,
-  // then apply the top-k cut. Cache hits must be copied (the cache keeps
-  // its entry); freshly fetched results are uniquely owned and moved.
+  // then apply the top-k cut.
   QueryResult merged;
   merged.algorithm = query.algorithm;
-  auto fold = [&merged](const QueryResult& r) {
+  bool partial = region->partial;
+  for (StatusOr<QueryResult>& r : fetched) {
+    if (!r.ok()) {
+      shard_failures_.fetch_add(1, std::memory_order_relaxed);
+      if (options_.allow_partial &&
+          r.status().code() != StatusCode::kInvalidArgument &&
+          r.status().code() != StatusCode::kNotFound) {
+        partial = true;
+        continue;
+      }
+      if (r.status().code() == StatusCode::kDeadlineExceeded) {
+        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return r.status();
+    }
     merged.breakdown.layer = std::max(merged.breakdown.layer,
-                                      r.breakdown.layer);
-    merged.breakdown.generalized_answers += r.breakdown.generalized_answers;
-    merged.breakdown.candidate_roots += r.breakdown.candidate_roots;
-  };
-  for (size_t s = 0; s < n; ++s) {
-    if (per_shard[s] == nullptr) continue;  // filled from cache only
-    fold(*per_shard[s]);
-    merged.answers.insert(merged.answers.end(), per_shard[s]->answers.begin(),
-                          per_shard[s]->answers.end());
-  }
-  for (size_t i = 0; i < missing.size(); ++i) {
-    if (!fetched[i].ok()) continue;  // allow_partial skip
-    fold(*fetched[i]);
-    std::vector<Answer>& answers = fetched[i]->answers;
+                                      r->breakdown.layer);
+    merged.breakdown.generalized_answers += r->breakdown.generalized_answers;
+    merged.breakdown.candidate_roots += r->breakdown.candidate_roots;
     if (merged.answers.empty()) {
-      merged.answers = std::move(answers);
+      merged.answers = std::move(r->answers);
     } else {
       merged.answers.insert(merged.answers.end(),
-                            std::make_move_iterator(answers.begin()),
-                            std::make_move_iterator(answers.end()));
+                            std::make_move_iterator(r->answers.begin()),
+                            std::make_move_iterator(r->answers.end()));
     }
   }
   if (completing) {
@@ -336,35 +313,29 @@ StatusOr<QueryResult> ShardedSearchService::Query(EngineQuery query) {
   }
   merged.breakdown.final_answers = merged.answers.size();
   merged.wall_ms = timer.ElapsedMillis();
-  if (partial) partial_results_.fetch_add(1, std::memory_order_relaxed);
+  if (partial) {
+    partial_results_.fetch_add(1, std::memory_order_relaxed);
+  } else if (!key.empty()) {
+    cache_.Insert(key, merged);
+  }
   completed_.fetch_add(1, std::memory_order_relaxed);
   latency_.Record(merged.wall_ms);
   return merged;
 }
 
 uint64_t ShardedSearchService::BumpEpoch() {
-  // Best effort on the remote side; coordinator caches are invalidated
-  // unconditionally (a shard whose bump failed keeps serving the same index,
-  // so refilled entries stay correct).
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    auto bumped = substrate_->BumpEpoch(s);
-    if (bumped.ok()) {
-      shards_[s]->epoch.store(*bumped, std::memory_order_release);
-    }
-    if (shards_[s]->cache != nullptr) shards_[s]->cache->Clear();
-  }
-  InvalidateRegion();
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                            std::memory_order_relaxed);
-  return epoch;
+  // Best effort on the remote side: a shard whose bump failed keeps serving
+  // the same index, so results refilled under the new generation stay
+  // correct.
+  for (size_t s = 0; s < num_shards(); ++s) substrate_->BumpEpoch(s);
+  return AdvanceGeneration();
 }
 
 StatusOr<uint64_t> ShardedSearchService::Rollback() {
   if (!attached()) {
     return Status::FailedPrecondition("coordinator is not attached");
   }
-  const size_t n = shards_.size();
+  const size_t n = num_shards();
   std::vector<StatusOr<uint64_t>> per(
       n, Status::Unavailable("shard rollback not run"));
   pool_.ParallelFor(n, [&](size_t /*slot*/, size_t s) {
@@ -373,50 +344,40 @@ StatusOr<uint64_t> ShardedSearchService::Rollback() {
 
   bool any_changed = false;
   Status first_failure = Status::OK();
-  std::vector<bool> rolled(n, false);
   for (size_t s = 0; s < n; ++s) {
-    if (!per[s].ok()) {
-      // A shard the last batch never touched retains no previous version
-      // and answers FailedPrecondition — that is "nothing to undo here",
-      // not a broadcast failure (a single-shard update must stay
-      // reversible fleet-wide).
-      if (per[s].status().code() == StatusCode::kFailedPrecondition) continue;
-      shard_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (first_failure.ok()) first_failure = per[s].status();
+    if (per[s].ok()) {
+      any_changed = true;
       continue;
     }
-    any_changed = true;
-    rolled[s] = true;
-    shards_[s]->epoch.store(*per[s], std::memory_order_release);
-    if (shards_[s]->cache != nullptr) shards_[s]->cache->Clear();
+    // A shard the last batch never touched retains no previous version and
+    // answers FailedPrecondition — that is "nothing to undo here", not a
+    // broadcast failure (a single-shard update must stay reversible
+    // fleet-wide).
+    if (per[s].status().code() == StatusCode::kFailedPrecondition) continue;
+    shard_failures_.fetch_add(1, std::memory_order_relaxed);
+    if (first_failure.ok()) first_failure = per[s].status();
   }
-  InvalidateRegion();
-  if (!first_failure.ok()) {
-    if (any_changed) {
-      // Partially rolled back: advance our epoch so clients re-query
-      // through fresh caches; a retry re-broadcasts (already-rolled-back
-      // shards then answer FailedPrecondition, which the retry skips).
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                                std::memory_order_relaxed);
-    }
-    return first_failure;
-  }
-  if (!any_changed) {
+  if (!any_changed && first_failure.ok()) {
     return Status::FailedPrecondition(
         "no shard had a previous index version to restore");
   }
+  // A failed shard may have rolled back before its reply was lost, so a
+  // failure advances the generation too. A retry re-broadcasts
+  // (already-rolled-back shards then answer FailedPrecondition, which the
+  // retry skips).
+  uint64_t epoch = AdvanceGeneration();
+  if (!first_failure.ok()) return first_failure;
 
   // Fleet-coherence check: every rolled-back shard must still report the
   // epoch its rollback returned — an update racing the broadcast would
-  // leave the fleet serving mixed generations behind our freshly cleared
-  // caches.
+  // leave the fleet serving mixed generations, possibly cached under the
+  // generation just advanced to, so that exit advances once more.
   for (size_t s = 0; s < n; ++s) {
-    if (!rolled[s]) continue;
+    if (!per[s].ok()) continue;
     auto info = substrate_->Info(s);
     if (!info.ok()) return info.status();
     if (info->epoch != *per[s]) {
-      shards_[s]->epoch.store(info->epoch, std::memory_order_release);
+      AdvanceGeneration();
       return Status::FailedPrecondition(
           "shard " + std::to_string(s) + " epoch moved during rollback (" +
           std::to_string(*per[s]) + " -> " + std::to_string(info->epoch) +
@@ -424,9 +385,6 @@ StatusOr<uint64_t> ShardedSearchService::Rollback() {
     }
   }
   rollbacks_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                            std::memory_order_relaxed);
   return epoch;
 }
 
@@ -436,16 +394,13 @@ StatusOr<UpdateOutcome> ShardedSearchService::ApplyUpdate(
     updates_rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::FailedPrecondition("coordinator is not attached");
   }
-  const size_t n = shards_.size();
+  const size_t n = num_shards();
   std::vector<StatusOr<UpdateOutcome>> per(
       n, Status::Unavailable("shard update not run"));
   pool_.ParallelFor(n, [&](size_t /*slot*/, size_t s) {
     per[s] = substrate_->Update(s, updates);
   });
 
-  // Fold the per-shard outcomes. Epochs and caches of the shards that DID
-  // change are advanced even when another shard failed, so the coordinator
-  // never serves stale cached answers over a half-applied fleet.
   UpdateOutcome merged;
   bool any_changed = false;
   Status first_failure = Status::OK();
@@ -460,38 +415,23 @@ StatusOr<UpdateOutcome> ShardedSearchService::ApplyUpdate(
     // Mode severity: none < incremental < wholesale < rebuild (the enum's
     // declaration order); report the fleet's worst.
     if (per[s]->mode > merged.mode) merged.mode = per[s]->mode;
-    if (per[s]->mode != UpdateOutcome::Mode::kNone) {
-      any_changed = true;
-      shards_[s]->epoch.store(per[s]->epoch, std::memory_order_release);
-      if (shards_[s]->cache != nullptr) shards_[s]->cache->Clear();
-    }
+    if (per[s]->mode != UpdateOutcome::Mode::kNone) any_changed = true;
   }
   // An applied update can move edges near the cut, so the workers' exports
-  // (recomputed at their engine swaps) may differ: re-assemble lazily.
-  if (any_changed || !first_failure.ok()) InvalidateRegion();
+  // (recomputed at their engine swaps) may differ, and a failed shard may
+  // have applied before its reply was lost: either way cached results and
+  // the region are stale. On a partial failure the caller retries the batch
+  // (retry is idempotent — applied ops normalize to net no-ops).
+  merged.epoch = any_changed || !first_failure.ok() ? AdvanceGeneration()
+                                                    : epoch();
   if (!first_failure.ok()) {
     updates_rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (any_changed) {
-      // Partially applied: advance our epoch so clients re-query through
-      // fresh caches; the caller retries the batch (retry is idempotent —
-      // applied ops normalize to net no-ops).
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                                std::memory_order_relaxed);
-    }
     return first_failure;
   }
 
   // Ownership is disjoint, so summed applied <= batch size and the
   // coordinator-level accounting mirrors a monolithic server's.
   merged.skipped = updates.size() - merged.applied;
-  if (any_changed) {
-    merged.epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                              std::memory_order_relaxed);
-  } else {
-    merged.epoch = epoch();
-  }
   updates_applied_.fetch_add(merged.applied, std::memory_order_relaxed);
   if (merged.mode == UpdateOutcome::Mode::kWholesale ||
       merged.mode == UpdateOutcome::Mode::kRebuild) {
@@ -506,20 +446,17 @@ ServiceStats ShardedSearchService::Snapshot() const {
   s.rejected_invalid = rejected_invalid_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-  // Fan-out counters ride the batch fields: one "batch" per fan-out wave,
-  // batched_queries = shard requests actually sent (cache misses only).
+  // Fan-out counters ride the batch fields: one "batch" per completed query,
+  // batched_queries = shard requests sent (a result-cache hit sends none).
   s.batches = s.completed;
   s.batched_queries = shard_queries_.load(std::memory_order_relaxed);
   s.mean_batch_size =
       s.batches ? static_cast<double>(s.batched_queries) / s.batches : 0;
-  for (const auto& per : shards_) {
-    if (per->cache == nullptr) continue;
-    AnswerCacheStats cs = per->cache->stats();
-    s.cache_hits += cs.hits;
-    s.cache_misses += cs.misses;
-    s.cache_evictions += cs.evictions;
-    s.cache_entries += cs.entries;
-  }
+  AnswerCacheStats cs = cache_.stats();
+  s.cache_hits = cs.hits;
+  s.cache_misses = cs.misses;
+  s.cache_evictions = cs.evictions;
+  s.cache_entries = cs.entries;
   s.cache_hit_ratio = (s.cache_hits + s.cache_misses)
                           ? static_cast<double>(s.cache_hits) /
                                 static_cast<double>(s.cache_hits +

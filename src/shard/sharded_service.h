@@ -3,10 +3,10 @@
 // One QueryService over N shards of a ShardSubstrate:
 //
 //   client → [validate + normalize + deadline]          (caller's thread)
-//          → per-shard answer-cache probes              (epoch-keyed)
-//          → fan-out to cache-missing shards            (ExecutorPool)
-//          → per-shard cache fills
-//          → merge: concat + rank + top-k cut
+//          → result-cache probe                         (generation-keyed)
+//          → fan-out to every shard                     (ExecutorPool)
+//          → merge: concat + boundary completion + rank + top-k cut
+//          → result-cache fill
 //
 // Merge semantics: shard vertex sets are disjoint, so per-shard answer sets
 // are disjoint and the merged set is their concatenation — no cross-shard
@@ -29,16 +29,29 @@
 // answers plus near region answers partition the monolithic answer set, so
 // bfs-mode serving is exact too. While a cut exists, fan-out queries are
 // rewritten to top_k=0 (a per-shard cut could displace a cut-crossing
-// answer) and the caller's top-k is applied after the merge. The region is
-// invalidated by BumpEpoch/ApplyUpdate/Rollback — like the per-shard
-// caches, mutate the fleet *through the coordinator*.
+// answer) and the caller's top-k is applied after the merge.
 //
-// Caches are per shard and epoch-keyed: the coordinator tracks each shard's
-// epoch (learned at Attach, advanced by BumpEpoch) and keys shard s's cache
-// on (epoch_s, query identity). A repeat query after one shard's rebuild
-// re-fans only to that shard. Bump shard epochs *through the coordinator*;
-// a worker bumped behind its back serves fresh answers to direct clients
-// while the coordinator's cache keeps handing out the old generation.
+// Result cache and generation: one AnswerCache holds *final* results (after
+// completion, merge and the caller's top-k cut), keyed on (generation,
+// normalized query with the caller's own top_k). A hit skips boundary
+// completion, fan-out and merge entirely. After a one-shard update the
+// other shards still answer a miss from their own epoch-keyed caches
+// (workers keep them, in process and remote), so the coordinator keeps no
+// per-shard copies. Partial results (allow_partial skipped a shard) and
+// errors are never cached.
+//
+// The generation is epoch(). Invariant: every path that changes the fleet
+// or the boundary region — Attach, BumpEpoch, ApplyUpdate (full or
+// partial) and every Rollback exit that rolled a shard back — finishes its
+// substrate calls and invalidates the region BEFORE it advances the
+// generation, and Query reads the generation BEFORE it assembles the region
+// or fans out. So a result cached under generation G was computed on the
+// fleet of generation G or newer, and no query that starts after an update
+// returns is served a result from before it. This is the publish-then-bump
+// ordering of SearchService::SwapEngine. Mutate the fleet *through the
+// coordinator*: a worker bumped or updated behind its back serves fresh
+// answers to direct clients while the coordinator's cache and region keep
+// the old generation.
 //
 // Deadlines ride in EngineQuery::eval.deadline: every shard sees the same
 // deadline, expired queries are rejected before fan-out, and one slow shard
@@ -74,8 +87,9 @@ struct ShardedServiceOptions {
   /// (ParallelFor is re-entrant across threads).
   size_t fanout_threads = 0;
 
-  /// Per-shard answer caches (each shard gets its own AnswerCache with
-  /// these options). enable_cache=false drops them entirely.
+  /// The coordinator's result cache of final (merged, completed, top-k cut)
+  /// answers, sized by `cache`. enable_cache=false turns it off: every query
+  /// fans out (workers still consult their own caches).
   bool enable_cache = true;
   AnswerCacheOptions cache;
 
@@ -111,7 +125,8 @@ class ShardedSearchService : public QueryService {
   /// ids form the exact cover 0..N-1 of one num_shards (monolithic workers
   /// are accepted only for N=1) and algorithm sets agree. Layer counts may
   /// differ (a small shard can summarize away in fewer layers); Identity()
-  /// reports the deepest. Must succeed before Query()/BumpEpoch();
+  /// reports the deepest. Advances the generation (a re-attach may follow a
+  /// fleet rebuild). Must succeed before Query()/BumpEpoch();
   /// FailedPrecondition otherwise.
   Status Attach();
 
@@ -128,9 +143,8 @@ class ShardedSearchService : public QueryService {
   ServiceIdentity Identity() const override;
 
   /// Broadcasts the batch to every shard in parallel (each shard applies
-  /// only the edges it owns and skips the rest — see ShardSubstrate::Update),
-  /// advances the changed shards' epochs, clears their coordinator-side
-  /// caches, and bumps the coordinator's own epoch when anything changed.
+  /// only the edges it owns and skips the rest — see ShardSubstrate::Update)
+  /// and advances the generation when any shard changed or failed.
   /// `applied` is summed across shards (vertex ownership is disjoint);
   /// `skipped` = batch size − applied, so the coordinator-level accounting
   /// matches a monolithic server's. Under wcc-mode plans a cross-shard edge
@@ -144,16 +158,16 @@ class ShardedSearchService : public QueryService {
   StatusOr<UpdateOutcome> ApplyUpdate(
       std::span<const GraphUpdate> updates) override;
 
-  /// Broadcasts ROLLBACK to every shard in parallel, then verifies fleet
+  /// Broadcasts ROLLBACK to every shard in parallel, advances the
+  /// generation when any shard rolled back or failed, then verifies fleet
   /// coherence: each rolled-back shard must still report the epoch its
   /// rollback returned (a concurrent update racing the broadcast would
   /// leave the fleet serving mixed generations — that surfaces as
-  /// FailedPrecondition, and the caches/region are already invalidated so
-  /// nothing stale is served either way). Shards that retain no previous
-  /// version answer FailedPrecondition and are skipped — a single-shard
-  /// update stays reversible fleet-wide; if NO shard rolled back the call
-  /// itself returns FailedPrecondition. On success clears the rolled-back
-  /// shards' coordinator caches and returns the coordinator's new epoch.
+  /// FailedPrecondition after one more generation advance, so nothing stale
+  /// is served either way). Shards that retain no previous version answer
+  /// FailedPrecondition and are skipped — a single-shard update stays
+  /// reversible fleet-wide; if NO shard rolled back the call itself returns
+  /// FailedPrecondition. On success returns the coordinator's new epoch.
   /// A shard failure mid-broadcast leaves the fleet partially rolled back;
   /// the returned status names the first failing shard and a retry
   /// re-broadcasts (already-rolled-back shards are then skipped as above).
@@ -163,16 +177,12 @@ class ShardedSearchService : public QueryService {
   size_t num_shards() const { return substrate_->num_shards(); }
 
  private:
-  struct PerShard {
-    std::unique_ptr<AnswerCache> cache;  // null when caching is disabled
-    std::atomic<uint64_t> epoch{1};      // the shard's epoch as last seen
-  };
-
   /// Lazily assembled completion state: the region plus the coordinator's
   /// own algorithm instances (with their locality radii). Immutable once
   /// published; rebuilt after every invalidation.
   struct RegionState {
     BoundaryRegion region;
+    bool partial = false;  // allow_partial assembled it without some shard
     std::vector<std::pair<std::string,
                           std::unique_ptr<KeywordSearchAlgorithm>>>
         algos;  // ascending by name
@@ -184,7 +194,10 @@ class ShardedSearchService : public QueryService {
   /// assembling on first use after an invalidation. Unavailable when a
   /// shard's boundary cannot be fetched.
   StatusOr<std::shared_ptr<const RegionState>> EnsureRegion();
-  void InvalidateRegion();
+
+  /// Drops the region and the result cache, then advances the generation
+  /// (in that order — see the header comment) and returns the new one.
+  uint64_t AdvanceGeneration();
 
   /// Evaluates `query` on the region and returns the near answers (anchor
   /// within the algorithm's locality radius of the cut), remapped to global
@@ -198,7 +211,7 @@ class ShardedSearchService : public QueryService {
   Timer uptime_;
 
   std::atomic<bool> attached_{false};
-  std::vector<std::unique_ptr<PerShard>> shards_;
+  AnswerCache cache_;
   std::vector<std::string> algorithms_;  // common set, from Attach
   uint32_t num_layers_ = 0;              // deepest shard layer count
 

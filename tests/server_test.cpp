@@ -10,13 +10,19 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <memory>
@@ -714,6 +720,57 @@ TEST(LineProtocolTest, TraceVerbsRoundTrip) {
   EXPECT_EQ(handler.Handle("trace").response.substr(0, 3), "ERR");
 }
 
+// Numeric request fields are range-checked: each malformed value below is
+// rejected as InvalidArgument instead of being silently read as a different
+// request.
+std::string HandleOnce(const std::string& line) {
+  ServiceFixture fx;
+  SearchService service(fx.engine, {.max_linger_ms = 0});
+  LineHandler handler(&service);
+  return handler.Handle(line).response;
+}
+
+TEST(LineProtocolTest, NegativeTopKIsRejected) {  // was read as SIZE_MAX
+  std::string r = HandleOnce("query bkws 0,1 top_k=-1");
+  EXPECT_TRUE(r.starts_with("ERR InvalidArgument")) << r;
+}
+
+TEST(LineProtocolTest, NonNumericTopKIsRejected) {  // was read as 0 = all
+  std::string r = HandleOnce("query bkws 0,1 top_k=abc");
+  EXPECT_TRUE(r.starts_with("ERR InvalidArgument")) << r;
+}
+
+TEST(LineProtocolTest, NonNumericLayerIsRejected) {  // was layer 0
+  std::string r = HandleOnce("query bkws 0,1 layer=zz");
+  EXPECT_TRUE(r.starts_with("ERR InvalidArgument")) << r;
+}
+
+TEST(LineProtocolTest, NanBetaIsRejected) {
+  std::string r = HandleOnce("query bkws 0,1 beta=nan");
+  EXPECT_TRUE(r.starts_with("ERR InvalidArgument")) << r;
+}
+
+TEST(LineProtocolTest, OutOfRangeKeywordIsRejected) {  // was wrapped
+  std::string r = HandleOnce("query bkws 99999999999,1");
+  EXPECT_TRUE(r.starts_with("ERR InvalidArgument")) << r;
+}
+
+TEST(LineProtocolTest, InRangeNumericOptionsStillParse) {
+  for (const char* line :
+       {"query bkws 0,1 top_k=0", "query bkws 0,1 layer=-1 beta=0.25",
+        "query bkws 0,1 layer=1 exact=0 deadline_ms=5000"}) {
+    std::string r = HandleOnce(line);
+    EXPECT_TRUE(r.starts_with("OK n=")) << line << " -> " << r;
+  }
+  for (const char* line :
+       {"query bkws 0,1 layer=-2", "query bkws 0,1 beta=1.5",
+        "query bkws 0,1 exact=yes", "query bkws 0,1 deadline_ms=inf",
+        "query bkws 0,1 top_k=3x", "query bkws 0,1 top_k=+3"}) {
+    std::string r = HandleOnce(line);
+    EXPECT_TRUE(r.starts_with("ERR InvalidArgument")) << line << " -> " << r;
+  }
+}
+
 TEST(TcpServerTest, ServesLineProtocolOverLoopback) {
   ServiceFixture fx;
   SearchService service(fx.engine, {.max_linger_ms = 0});
@@ -758,6 +815,89 @@ TEST(TcpServerTest, ServesLineProtocolOverLoopback) {
   server.Stop();
   ServiceStats s = service.Snapshot();
   EXPECT_GE(s.submitted, 2u);
+}
+
+/// One short-lived client: connect, send "ping", read the reply, close.
+/// Returns the reply, or an error description. Reads time out after 2 s so
+/// a server that stopped accepting fails the caller instead of hanging it.
+std::string PingOnce(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return std::string("socket: ") + std::strerror(errno);
+  timeval timeout{.tv_sec = 2, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  std::string response;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    response = std::string("connect: ") + std::strerror(errno);
+  } else if (::write(fd, "ping\n", 5) != 5) {
+    response = std::string("write: ") + std::strerror(errno);
+  } else {
+    char chunk[64];
+    while (response.find("\n.\n") == std::string::npos) {
+      ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) {
+        response += n < 0 ? std::string(" read: ") + std::strerror(errno)
+                          : std::string(" closed early");
+        break;
+      }
+      response.append(chunk, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE for one scope and restores it.
+class FdLimitGuard {
+ public:
+  explicit FdLimitGuard(rlim_t soft) {
+    ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ok_ && soft <= saved_.rlim_max &&
+          ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~FdLimitGuard() {
+    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+// A server must release each finished connection's fd (and thread): with
+// the fd limit a few descriptors above what is open now, it keeps
+// answering far more sequential connections than the limit could hold.
+TEST(TcpServerTest, SequentialConnectionsBeyondFdLimitAreServed) {
+  ServiceFixture fx;
+  SearchService service(fx.engine, {.max_linger_ms = 0});
+  TcpServer server(&service, nullptr, {.port = 0});
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << started.ToString();
+  }
+  int highest_fd = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest_fd = std::max(highest_fd,
+                          std::atoi(entry.path().filename().c_str()));
+  }
+  constexpr int kHeadroom = 16;
+  constexpr int kConnections = 8 * kHeadroom;
+  {
+    FdLimitGuard limit(static_cast<rlim_t>(highest_fd + 1 + kHeadroom));
+    ASSERT_TRUE(limit.ok()) << "cannot lower RLIMIT_NOFILE";
+    for (int i = 0; i < kConnections; ++i) {
+      ASSERT_EQ(PingOnce(server.port()), "OK pong\n.\n")
+          << "connection " << i;
+    }
+  }
+  server.Stop();
 }
 
 }  // namespace

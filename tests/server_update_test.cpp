@@ -404,6 +404,19 @@ TEST(UpdateVerb, EndToEndThroughLineHandler) {
   EXPECT_TRUE(handler.Handle("update add:x:2").response.starts_with("ERR"));
 }
 
+// 4294967297 is 2^32 + 1: a parser that wraps it to 32 bits would apply
+// the edge 1 -> 0 instead of rejecting the op.
+TEST(UpdateVerb, OutOfRangeVertexIdIsRejectedNotWrapped) {
+  UpdateFixture fx;
+  LineHandler handler(&fx.service, nullptr);
+  const uint64_t epoch = fx.service.epoch();
+  LineHandler::Result r = handler.Handle("update add:4294967297:0");
+  EXPECT_TRUE(r.response.starts_with("ERR InvalidArgument")) << r.response;
+  EXPECT_EQ(fx.service.epoch(), epoch);
+  EXPECT_FALSE(fx.service.engine_snapshot()->index().base().HasEdge(1, 0));
+  EXPECT_EQ(fx.service.Snapshot().updates_applied, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // The ROLLBACK verb.
 

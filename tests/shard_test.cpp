@@ -2,21 +2,24 @@
 // answers identical to monolithic for 2 and 4 shards, both substrates, all
 // registered algorithms at every layer, over the seeded random-graph
 // harness), the INFO verb, ProtocolClient timeout/retry semantics,
-// coordinator attach validation, per-shard epoch-keyed caching, deadlines,
-// and the sharded index-image round-trip (tools/ci.sh re-runs the
-// concurrency-relevant suites under ThreadSanitizer).
+// coordinator attach validation, the generation-keyed result cache,
+// deadlines, and the sharded index-image round-trip (tools/ci.sh re-runs
+// the concurrency-relevant suites under ThreadSanitizer).
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -154,10 +157,27 @@ struct RemoteFleet {
 
 // --- The differential acceptance gate -------------------------------------
 
+/// Serves `q` twice through `service` and returns the first result. The
+/// repeat must be a result-cache hit whose answers are identical, ranking
+/// included, to the first.
+StatusOr<QueryResult> QueryTwice(ShardedSearchService& service,
+                                 const EngineQuery& q) {
+  auto first = service.Query(q);
+  if (!first.ok()) return first;
+  const uint64_t hits = service.Snapshot().cache_hits;
+  auto repeat = service.Query(q);
+  EXPECT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_EQ(service.Snapshot().cache_hits, hits + 1) << "repeat missed";
+  if (repeat.ok()) EXPECT_EQ(repeat->answers, first->answers);
+  return first;
+}
+
 /// The 100-seed sharded==monolithic differential, parametrized by shard
 /// mode. Under kBfsBlocks the plan has a real cut (block size 12 on 30–100
 /// vertex graphs), so every assertion below exercises ghost materialization,
 /// the workers' near-answer filter and the coordinator's completion pass.
+/// Every coordinator query is issued twice (QueryTwice), so the gate also
+/// holds the coordinator's result cache to the uncached answer.
 void RunDifferentialGate(ShardMode mode, uint32_t bfs_block_size) {
   const int seeds = GateSeeds();
   size_t plans_with_cut = 0;
@@ -221,9 +241,9 @@ void RunDifferentialGate(ShardMode mode, uint32_t bfs_block_size) {
           q.eval.forced_layer = layer;
           auto expected = mono.Evaluate(q);
           ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-          auto via_local = local.Query(q);
+          auto via_local = QueryTwice(local, q);
           ASSERT_TRUE(via_local.ok()) << via_local.status().ToString();
-          auto via_wire = wire.Query(q);
+          auto via_wire = QueryTwice(wire, q);
           ASSERT_TRUE(via_wire.ok()) << via_wire.status().ToString();
           if (mode == ShardMode::kBfsBlocks && layer > 0) {
             // At layers > 0 the witness trees are evaluator tie-break
@@ -251,13 +271,32 @@ void RunDifferentialGate(ShardMode mode, uint32_t bfs_block_size) {
         q.eval.top_k = 3;
         auto expected = mono.Evaluate(q);
         ASSERT_TRUE(expected.ok());
-        auto via_local = local.Query(q);
+        auto via_local = QueryTwice(local, q);
         ASSERT_TRUE(via_local.ok());
         ASSERT_EQ(via_local->answers, expected->answers)
             << "top-k: seed " << seed << " shards " << n << " algo " << algo;
-        auto via_wire = wire.Query(q);
+        auto via_wire = QueryTwice(wire, q);
         ASSERT_TRUE(via_wire.ok());
         ASSERT_EQ(via_wire->answers, expected->answers);
+
+        // The default path: no forced layer, so the monolithic engine and
+        // every shard pick their own layer by Formula 4, and the picks
+        // differ between them on many seeds. The claim is the answer
+        // identity set with exact scores.
+        q.eval.forced_layer = -1;
+        q.eval.top_k = 0;
+        expected = mono.Evaluate(q);
+        ASSERT_TRUE(expected.ok());
+        via_local = QueryTwice(local, q);
+        ASSERT_TRUE(via_local.ok()) << via_local.status().ToString();
+        ASSERT_EQ(Identities(via_local->answers), Identities(expected->answers))
+            << "default layer, in-process: seed " << seed << " shards " << n
+            << " algo " << algo;
+        via_wire = QueryTwice(wire, q);
+        ASSERT_TRUE(via_wire.ok()) << via_wire.status().ToString();
+        ASSERT_EQ(Identities(via_wire->answers), Identities(expected->answers))
+            << "default layer, remote: seed " << seed << " shards " << n
+            << " algo " << algo;
       }
     }
   }
@@ -286,13 +325,21 @@ TEST(ShardDifferentialGate, BfsModeShardedEqualsMonolithicBothSubstrates) {
 struct CoordinatorFixture {
   Graph graph;
   Ontology ontology = TestOntology();
+  ShardPlan plan;
   std::unique_ptr<InProcessSubstrate> substrate;
 
-  explicit CoordinatorFixture(uint64_t seed = 11, size_t num_shards = 2) {
+  /// kBfsBlocks plans use block size 12, so the fleet has a cut.
+  explicit CoordinatorFixture(
+      uint64_t seed = 11, size_t num_shards = 2,
+      ShardMode mode = ShardMode::kConnectivityClosed) {
     graph = MakeRandomGraph(GraphOptions(seed));
     auto sharded = BuildShardedIndex(
         graph, &ontology,
-        {.plan = {.num_shards = num_shards}, .index = {.max_layers = 2}});
+        {.plan = {.num_shards = num_shards,
+                  .mode = mode,
+                  .bfs_block_size = 12},
+         .index = {.max_layers = 2}});
+    plan = sharded->plan;
     substrate = std::move(
         InProcessSubstrate::Create(std::move(sharded->shards),
                                    SubstrateOptions()))
@@ -304,6 +351,47 @@ struct CoordinatorFixture {
     q.algorithm = algo;
     q.keywords = {0, 1};
     return q;
+  }
+
+  /// Full answer sets at layer 0: exact, so comparable answer for answer.
+  EngineQuery ExactQuery() {
+    EngineQuery q = Query();
+    q.eval.top_k = 0;
+    q.eval.forced_layer = 0;
+    return q;
+  }
+
+  /// A monolithic engine's sorted answers to `q` on `g`.
+  std::vector<Answer> MonolithicAnswers(const Graph& g,
+                                        const EngineQuery& q) {
+    auto index = BigIndex::Build(g, &ontology, {.max_layers = 2});
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    if (!index.ok()) return {};
+    QueryEngine mono(std::move(index).value());
+    UncapRClique(mono);
+    auto result = mono.Evaluate(q);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? Sorted(result->answers) : std::vector<Answer>{};
+  }
+
+  /// An edge with both endpoints on one shard (so an update of it is
+  /// applied, not skipped) whose removal changes the monolithic answers to
+  /// `q`; writes the graph without it to `*without`.
+  std::pair<VertexId, VertexId> SensitiveEdge(const EngineQuery& q,
+                                              Graph* without) {
+    const std::vector<Answer> with = MonolithicAnswers(graph, q);
+    for (const auto& [u, v] : graph.Edges()) {
+      if (plan.ShardOf(u) != plan.ShardOf(v)) continue;
+      auto removed = ApplyUpdates(
+          graph, std::vector<GraphUpdate>{
+                     {GraphUpdate::Kind::kRemoveEdge, u, v}});
+      if (removed.ok() && MonolithicAnswers(*removed, q) != with) {
+        *without = std::move(removed).value();
+        return {u, v};
+      }
+    }
+    ADD_FAILURE() << "no owned edge changes the answers";
+    return {kInvalidVertex, kInvalidVertex};
   }
 };
 
@@ -339,7 +427,7 @@ TEST(ShardCoordinator, ExpiredDeadlineRejectedBeforeFanOut) {
   EXPECT_EQ(service.Snapshot().deadline_misses, 1u);
 }
 
-TEST(ShardCoordinator, PerShardCachesHitOnRepeatAndInvalidateOnBump) {
+TEST(ShardCoordinator, ResultCacheHitsOnRepeatAndInvalidatesOnBump) {
   CoordinatorFixture fx;
   ShardedSearchService service(fx.substrate.get());
   ASSERT_TRUE(service.Attach().ok());
@@ -351,7 +439,7 @@ TEST(ShardCoordinator, PerShardCachesHitOnRepeatAndInvalidateOnBump) {
 
   auto second = service.Query(q);
   ASSERT_TRUE(second.ok());
-  // Both shards answered from the coordinator's caches: no new fan-out.
+  // The repeat was a result-cache hit: no new fan-out.
   EXPECT_EQ(service.Snapshot().batched_queries, 2u);
   EXPECT_EQ(Sorted(second->answers), Sorted(first->answers));
 
@@ -427,8 +515,7 @@ TEST(ShardCoordinator, AllowPartialServesSurvivingShards) {
 
   ShardedSearchService strict(&remote, {.enable_cache = false});
   ASSERT_TRUE(strict.Attach().ok());
-  ShardedSearchService lenient(
-      &remote, {.enable_cache = false, .allow_partial = true});
+  ShardedSearchService lenient(&remote, {.allow_partial = true});
   ASSERT_TRUE(lenient.Attach().ok());
 
   fleet.servers[1]->Stop();  // shard 1 goes dark after attach
@@ -443,6 +530,251 @@ TEST(ShardCoordinator, AllowPartialServesSurvivingShards) {
   auto direct = fx.substrate->Query(0, q);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(Sorted(partial->answers), Sorted(direct->answers));
+
+  // A partial result is never cached: the repeat is served partially again
+  // instead of being handed the incomplete answer as if it were whole.
+  ASSERT_TRUE(lenient.Query(q).ok());
+  ServiceStats stats = lenient.Snapshot();
+  EXPECT_EQ(stats.partial_results, 2u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_entries, 0u);
+}
+
+// --- The coordinator's result cache -----------------------------------------
+
+// A hit must hand back exactly what the uncached coordinator computes —
+// after boundary completion, merge and the caller's own top-k cut — for
+// every algorithm and cut size, on a fleet with a real cut.
+TEST(ShardCoordinator, ResultCacheHitEqualsUncachedAnswersAtEveryTopK) {
+  CoordinatorFixture fx(11, 2, ShardMode::kBfsBlocks);
+  ASSERT_FALSE(fx.plan.CutEdges().empty());
+  ShardedSearchService cached(fx.substrate.get(), CoordinatorOptions());
+  ShardedSearchService uncached(fx.substrate.get(),
+                                CoordinatorOptions({.enable_cache = false}));
+  ASSERT_TRUE(cached.Attach().ok());
+  ASSERT_TRUE(uncached.Attach().ok());
+  for (const char* algo : kAlgorithms) {
+    for (size_t k : {0u, 1u, 3u, 10u}) {
+      EngineQuery q = fx.Query(algo);
+      q.eval.top_k = k;
+      auto reference = uncached.Query(q);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      auto miss = cached.Query(q);
+      ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+      const uint64_t hits = cached.Snapshot().cache_hits;
+      auto hit = cached.Query(q);
+      ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+      EXPECT_EQ(cached.Snapshot().cache_hits, hits + 1);
+      EXPECT_EQ(miss->answers, reference->answers)
+          << algo << " top_k=" << k;
+      EXPECT_EQ(hit->answers, reference->answers) << algo << " top_k=" << k;
+    }
+  }
+  EXPECT_EQ(uncached.Snapshot().cache_hits, 0u);
+}
+
+// The key carries the caller's top_k, not the fan-out's rewritten top_k=0:
+// a top-1 answer must never be served to a top-2 caller, or vice versa.
+TEST(ShardCoordinator, ResultCacheKeepsTopKVariantsApart) {
+  CoordinatorFixture fx(11, 2, ShardMode::kBfsBlocks);
+  ShardedSearchService service(fx.substrate.get(), CoordinatorOptions());
+  ASSERT_TRUE(service.Attach().ok());
+  EngineQuery full = fx.ExactQuery();
+  auto all = service.Query(full);
+  ASSERT_TRUE(all.ok());
+  ASSERT_GT(all->answers.size(), 2u);
+
+  for (size_t k : {1u, 2u}) {
+    EngineQuery q = full;
+    q.eval.top_k = k;
+    for (int round = 0; round < 2; ++round) {
+      auto got = service.Query(q);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->answers,
+                std::vector<Answer>(all->answers.begin(),
+                                    all->answers.begin() + k))
+          << "top_k=" << k << " round " << round;
+    }
+  }
+  ServiceStats stats = service.Snapshot();
+  EXPECT_EQ(stats.cache_misses, 3u);  // top_k = 0, 1, 2: one entry each
+  EXPECT_EQ(stats.cache_hits, 2u);    // the second round of 1 and 2
+  EXPECT_EQ(stats.cache_entries, 3u);
+}
+
+// Every fleet change advances the generation: after BumpEpoch the query
+// fans out again, and after ApplyUpdate / Rollback the served answers are
+// the new state's, never the cached ones.
+TEST(ShardCoordinator, ResultCacheNeverStaleAfterBumpUpdateOrRollback) {
+  CoordinatorFixture fx(11, 2, ShardMode::kBfsBlocks);
+  ShardedSearchService service(fx.substrate.get(), CoordinatorOptions());
+  ASSERT_TRUE(service.Attach().ok());
+  const EngineQuery q = fx.ExactQuery();
+  Graph without;
+  const auto [u, v] = fx.SensitiveEdge(q, &without);
+  ASSERT_NE(u, kInvalidVertex);
+  const std::vector<Answer> with_edge = fx.MonolithicAnswers(fx.graph, q);
+  const std::vector<Answer> without_edge = fx.MonolithicAnswers(without, q);
+
+  auto served = [&] {
+    auto result = service.Query(q);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? Sorted(result->answers) : std::vector<Answer>{};
+  };
+  EXPECT_EQ(served(), with_edge);
+  EXPECT_EQ(served(), with_edge);
+  EXPECT_EQ(service.Snapshot().cache_hits, 1u);
+
+  const uint64_t fanned = service.Snapshot().batched_queries;
+  service.BumpEpoch();
+  EXPECT_EQ(served(), with_edge);
+  EXPECT_GT(service.Snapshot().batched_queries, fanned);
+
+  auto removed = service.ApplyUpdate(std::vector<GraphUpdate>{
+      {GraphUpdate::Kind::kRemoveEdge, u, v}});
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  ASSERT_EQ(removed->applied, 1u);
+  EXPECT_EQ(served(), without_edge);
+  EXPECT_EQ(served(), without_edge);
+
+  auto rolled = service.Rollback();
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  EXPECT_EQ(served(), with_edge);
+}
+
+/// Forwards to another substrate, with two fault hooks for the coordinator
+/// tests below.
+class HookedSubstrate : public ShardSubstrate {
+ public:
+  explicit HookedSubstrate(ShardSubstrate* inner) : inner_(inner) {}
+
+  size_t num_shards() const override { return inner_->num_shards(); }
+  StatusOr<ShardInfo> Info(size_t shard) override {
+    auto info = inner_->Info(shard);
+    if (info.ok() && skew_info) ++info->epoch;
+    return info;
+  }
+  StatusOr<QueryResult> Query(size_t shard, const EngineQuery& q) override {
+    return inner_->Query(shard, q);
+  }
+  StatusOr<uint64_t> BumpEpoch(size_t shard) override {
+    return inner_->BumpEpoch(shard);
+  }
+  StatusOr<UpdateOutcome> Update(
+      size_t shard, std::span<const GraphUpdate> updates) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(update_delay_ms));
+    return inner_->Update(shard, updates);
+  }
+  StatusOr<uint64_t> Rollback(size_t shard) override {
+    return inner_->Rollback(shard);
+  }
+  StatusOr<BoundaryExport> Boundary(size_t shard) override {
+    return inner_->Boundary(shard);
+  }
+
+  /// Info reports every shard's epoch one past the real one — what the
+  /// coordinator sees when an update races its rollback broadcast.
+  bool skew_info = false;
+  /// Update waits this long before it reaches the shard, so concurrent
+  /// queries have time to run against the pre-update fleet.
+  int update_delay_ms = 0;
+
+ private:
+  ShardSubstrate* inner_;
+};
+
+// The fleet-coherence exit of Rollback returns FailedPrecondition after
+// shards have rolled back; the generation must still advance there, or
+// epoch() and the result cache would keep presenting the pre-rollback one.
+TEST(ShardCoordinator, RollbackCoherenceFailureAdvancesGeneration) {
+  CoordinatorFixture fx;
+  HookedSubstrate skew(fx.substrate.get());
+  ShardedSearchService service(&skew, CoordinatorOptions());
+  ASSERT_TRUE(service.Attach().ok());
+  const EngineQuery q = fx.ExactQuery();
+  Graph without;
+  const auto [u, v] = fx.SensitiveEdge(q, &without);
+  ASSERT_NE(u, kInvalidVertex);
+
+  auto removed = service.ApplyUpdate(std::vector<GraphUpdate>{
+      {GraphUpdate::Kind::kRemoveEdge, u, v}});
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  auto cached = service.Query(q);  // fills the cache with the removal
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(Sorted(cached->answers), fx.MonolithicAnswers(without, q));
+
+  skew.skew_info = true;
+  const uint64_t generation = service.epoch();
+  auto rolled = service.Rollback();
+  EXPECT_EQ(rolled.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_GT(service.epoch(), generation);
+  EXPECT_EQ(service.Snapshot().rollbacks, 0u);
+
+  // The shards did roll back; the next query must show it.
+  auto after = service.Query(q);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(Sorted(after->answers), fx.MonolithicAnswers(fx.graph, q));
+}
+
+// The coordinator-level CacheEpochRace: readers hammer one query while the
+// writer toggles an answer-changing edge through ApplyUpdate on a fleet
+// with a cut (so every update also invalidates the boundary region). A
+// query issued after ApplyUpdate returns must reflect the new graph, even
+// though the old result is still cached under the old generation. Each
+// update is held back 2 ms before it reaches the shards, so readers do
+// fill the cache from the pre-update fleet while it is in flight; a
+// generation advanced before the shards change would keep such a fill
+// reachable. Readers racing an update may see a mix of old and new shard
+// state, so they only check that serving never fails; TSan (tools/ci.sh)
+// checks the interleavings for data races.
+TEST(ShardCoordinator, ResultCacheRaceNeverServesPreUpdateResult) {
+  CoordinatorFixture fx(11, 2, ShardMode::kBfsBlocks);
+  HookedSubstrate slow(fx.substrate.get());
+  slow.update_delay_ms = 2;
+  ShardedSearchService service(&slow, CoordinatorOptions());
+  ASSERT_TRUE(service.Attach().ok());
+  const EngineQuery q = fx.ExactQuery();
+  Graph without;
+  const auto [u, v] = fx.SensitiveEdge(q, &without);
+  ASSERT_NE(u, kInvalidVertex);
+  const std::vector<Answer> with_edge = fx.MonolithicAnswers(fx.graph, q);
+  const std::vector<Answer> without_edge = fx.MonolithicAnswers(without, q);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  // Joins the readers however the test body exits, so a failed assertion
+  // below reports instead of destroying joinable threads.
+  struct JoinReaders {
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& readers;
+    ~JoinReaders() {
+      stop.store(true, std::memory_order_relaxed);
+      for (std::thread& t : readers) t.join();
+    }
+  } join_readers{stop, readers};
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&service, &q, &stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto result = service.Query(q);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+      }
+    });
+  }
+
+  bool present = true;
+  for (int i = 0; i < 24; ++i) {
+    const GraphUpdate toggle{present ? GraphUpdate::Kind::kRemoveEdge
+                                     : GraphUpdate::Kind::kAddEdge,
+                             u, v};
+    present = !present;
+    auto outcome = service.ApplyUpdate(std::vector<GraphUpdate>{toggle});
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_EQ(outcome->applied, 1u);
+    auto result = service.Query(q);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(Sorted(result->answers), present ? with_edge : without_edge)
+        << "iteration " << i;
+  }
 }
 
 // --- Substrate contracts ---------------------------------------------------
@@ -512,6 +844,19 @@ TEST(InfoVerb, ParseInfoLineRejectsGarbage) {
   EXPECT_EQ(info.shard_id, 1u);
   EXPECT_EQ(info.num_shards, 4u);
   EXPECT_EQ(info.algorithms, (std::vector<std::string>{"a", "b"}));
+
+  // Numeric fields are range-checked, not read as 0 or wrapped.
+  for (const char* bad :
+       {"OK epoch=x shard=1/4", "OK epoch=3 shard=1/4x",
+        "OK epoch=3 shard=4294967296/4", "OK epoch=-3 shard=1/4",
+        "OK epoch=3 checksum=zz shard=1/4"}) {
+    EXPECT_FALSE(ParseInfoLine(bad, &info).ok()) << bad;
+  }
+  Answer answer;
+  EXPECT_TRUE(ParseAnswerLine("A root=7 score=2 kw=7,9 v=7,8,9", &answer).ok());
+  EXPECT_FALSE(ParseAnswerLine("A root=4294967296 score=2", &answer).ok());
+  EXPECT_FALSE(ParseAnswerLine("A root=7 score=-2", &answer).ok());
+  EXPECT_FALSE(ParseAnswerLine("A root=7 kw=7,99999999999", &answer).ok());
 }
 
 // --- ProtocolClient connect semantics --------------------------------------
@@ -919,7 +1264,7 @@ TEST(ShardedUpdate, UpdateInvalidatesCoordinatorCaches) {
   auto first = service.Query(q);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(service.Query(q).ok());
-  EXPECT_EQ(service.Snapshot().batched_queries, 2u);  // repeat hit the caches
+  EXPECT_EQ(service.Snapshot().batched_queries, 2u);  // repeat hit the cache
 
   const auto edges = fx.graph.Edges();
   ASSERT_FALSE(edges.empty());
@@ -930,8 +1275,8 @@ TEST(ShardedUpdate, UpdateInvalidatesCoordinatorCaches) {
 
   auto after = service.Query(q);
   ASSERT_TRUE(after.ok());
-  // The changed shard's cache was cleared: at least one shard re-fanned,
-  // and the answers reflect the updated graph.
+  // The update advanced the generation: the query fanned out again, and
+  // the answers reflect the updated graph.
   EXPECT_GT(service.Snapshot().batched_queries, 2u);
   auto updated = ApplyUpdates(
       fx.graph,

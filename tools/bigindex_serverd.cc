@@ -28,10 +28,11 @@
 //     scatter-gather ShardedSearchService over the listed shard workers
 //     (in shard-id order) and serves the same line protocol. The dataset
 //     flags are still used to build the label dictionary for keyword-name
-//     parsing. --cache sizes the per-shard answer caches, --deadline-ms the
-//     default fan-out deadline, --allow-partial opts into serving partial
-//     merges when a shard is down, and --attach-retries bounds startup
-//     waiting for workers to come up.
+//     parsing. --cache sizes the coordinator's result cache of final
+//     (merged, top-k cut) answers, --deadline-ms the default fan-out
+//     deadline, --allow-partial opts into serving partial merges when a
+//     shard is down, and --attach-retries bounds startup waiting for
+//     workers to come up.
 //
 //   --index-image PATH mmaps a flat index image (core/index_image.h) instead
 //   of rebuilding the hierarchy at startup, cutting cold start from seconds
