@@ -19,13 +19,13 @@
 //   bench_maintenance [--smoke | --check]
 //
 // --smoke: tiny preset; one mixed batch through all three paths, exits
-// non-zero unless the three serialized indexes are identical. Used by
+// non-zero unless the three index images are byte-identical. Used by
 // tools/ci.sh.
 //
 // --check: CI speedup gate. On the default preset, asserts incremental
 // maintenance beats the from-scratch rebuild by >= 2x for small batches
-// (well under 5% dirty edges) and that the maintained index serializes
-// byte-identically to the rebuild at every gated batch size. Exits
+// (well under 5% dirty edges) and that the maintained index's image is
+// byte-identical to the rebuild's at every gated batch size. Exits
 // non-zero on any miss. Used by tools/ci.sh.
 
 #include <cstring>
@@ -42,7 +42,7 @@ namespace {
 
 std::string SerializeIndex(const BigIndex& index, const LabelDictionary& dict) {
   std::ostringstream out;
-  Status s = WriteIndex(index, dict, out);
+  Status s = WriteIndexImage(index, dict, out);
   if (!s.ok()) {
     std::fprintf(stderr, "serialize: %s\n", s.ToString().c_str());
     std::exit(1);
@@ -95,8 +95,8 @@ size_t FastLayers(const MaintainReport& report) {
 }
 
 /// CI gate: incremental maintenance must beat a from-scratch rebuild by
-/// kGateSpeedup at each gated batch size, and the maintained index must
-/// serialize byte-identically to the rebuild. Batch sizes are a tiny
+/// kGateSpeedup at each gated batch size, and the maintained index's image
+/// must be byte-identical to the rebuild's. Batch sizes are a tiny
 /// fraction of |E| (50k+ edges at the default preset), far under the 5%
 /// dirty-edge bound the gate documents.
 constexpr size_t kGateBatches[] = {1, 4};

@@ -31,13 +31,11 @@
 #include "core/cost_model.h"        // IWYU pragma: export
 #include "core/evaluator.h"         // IWYU pragma: export
 #include "core/index_image.h"       // IWYU pragma: export
-#include "core/index_io.h"          // IWYU pragma: export
 #include "core/query.h"             // IWYU pragma: export
 #include "core/search_algorithm.h"  // IWYU pragma: export
 #include "engine/executor.h"        // IWYU pragma: export
 #include "engine/query_context.h"   // IWYU pragma: export
 #include "engine/query_engine.h"    // IWYU pragma: export
-#include "graph/binary_io.h"        // IWYU pragma: export
 #include "graph/csr.h"              // IWYU pragma: export
 #include "graph/graph.h"            // IWYU pragma: export
 #include "graph/graph_io.h"         // IWYU pragma: export

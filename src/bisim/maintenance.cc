@@ -119,18 +119,4 @@ UpdateDelta ProjectDeltaToSummary(const Graph& g,
   return out;  // pair order is sorted, so added/removed are too
 }
 
-StatusOr<MaintenanceResult> ResummarizeAfterUpdates(
-    const Graph& g, const Graph& previous_summary,
-    std::span<const GraphUpdate> updates) {
-  auto updated = ApplyUpdates(g, updates);
-  if (!updated.ok()) return updated.status();
-
-  MaintenanceResult result;
-  result.updated_graph = std::move(updated).value();
-  result.bisim = ComputeBisimulation(result.updated_graph);
-  result.summary_changed =
-      !GraphsIdentical(result.bisim.summary, previous_summary);
-  return result;
-}
-
 }  // namespace bigindex

@@ -1,23 +1,21 @@
-// Maintenance of summaries under data-graph updates (Sec. 3.2,
+// Graph-level update primitives for summary maintenance (Sec. 3.2,
 // "Maintenance of BiG-index").
 //
 // The paper adopts an external incremental-bisimulation algorithm [Deng et
-// al., TKDE'13] and notes the index "can be recomputed occasionally". We
-// implement the pragmatic variant: apply an update batch, recompute the
-// affected layer's maximal bisimulation (our refinement is fast), and report
-// whether the *summary* changed at all — when it did not, upper layers of a
-// BiG-index are provably still valid and are reused (see
-// BigIndex::ApplyUpdates). The unchanged-summary detection is conservative
-// (exact graph equality under our deterministic block numbering), never
-// unsound.
+// al., TKDE'13] and notes the index "can be recomputed occasionally". Index
+// maintenance lives in update/maintain.h (MaintainIndex); this header holds
+// the pieces it shares with the sharded and serving update paths: one
+// normalized semantics for an edge-update batch (NormalizeUpdates), applying
+// a batch or its net delta to a graph, exact graph equality, and the
+// projection of a base-level delta onto a stable partition's summary.
 
 #ifndef BIGINDEX_BISIM_MAINTENANCE_H_
 #define BIGINDEX_BISIM_MAINTENANCE_H_
 
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "bisim/bisimulation.h"
 #include "graph/graph.h"
 #include "util/status.h"
 
@@ -85,21 +83,6 @@ UpdateDelta ProjectDeltaToSummary(const Graph& g,
                                   std::span<const VertexId> partition,
                                   const Graph& old_summary,
                                   const UpdateDelta& delta);
-
-/// Result of re-summarizing a layer after updates.
-struct MaintenanceResult {
-  Graph updated_graph;
-  BisimResult bisim;
-  /// False iff the new summary is identical to `previous_summary`, in which
-  /// case every layer built above it remains valid.
-  bool summary_changed = true;
-};
-
-/// Applies `updates` to `g` and recomputes its summary; compares against
-/// `previous_summary` to fill summary_changed.
-StatusOr<MaintenanceResult> ResummarizeAfterUpdates(
-    const Graph& g, const Graph& previous_summary,
-    std::span<const GraphUpdate> updates);
 
 }  // namespace bigindex
 

@@ -30,7 +30,11 @@
 // (offset monotonicity, id ranges) are validated before any structure is
 // wired. Corrupt input yields a non-OK Status, never UB. The ontology is
 // not serialized (it ships with the dataset); the caller passes the one the
-// index was built with, exactly as with core/index_io.h.
+// index was built with.
+//
+// The image is the only index format: the CLI, the daemon and the benches
+// read and write it, and its bytes are the byte-identity oracle of the
+// determinism and maintenance gates.
 
 #ifndef BIGINDEX_CORE_INDEX_IMAGE_H_
 #define BIGINDEX_CORE_INDEX_IMAGE_H_
@@ -160,8 +164,9 @@ struct ImageInfo {
 /// each section checksum. Fails with Corruption/IOError on malformed files.
 StatusOr<ImageInfo> InspectIndexImage(const std::string& path);
 
-/// True iff `path` starts with the image magic (cheap format sniff used by
-/// the CLI/server to pick the right loader). False on I/O errors.
+/// True iff `path` starts with the image magic (cheap sniff the daemon uses
+/// to decide between loading an image and building a fresh index). False on
+/// I/O errors.
 bool LooksLikeIndexImage(const std::string& path);
 
 /// Human-readable section kind ("DICT", "GRAPH", ...), for inspect output.

@@ -221,32 +221,6 @@ std::string HandleInfo(QueryService& service) {
   return out.str();
 }
 
-/// Parses one "add:<u>:<v>" / "remove:<u>:<v>" op token.
-Status ParseUpdateOp(const std::string& token, GraphUpdate* out) {
-  size_t c1 = token.find(':');
-  size_t c2 = c1 == std::string::npos ? std::string::npos
-                                      : token.find(':', c1 + 1);
-  if (c2 == std::string::npos) {
-    return Status::InvalidArgument("malformed update op '" + token +
-                                   "' (want add:<u>:<v> or remove:<u>:<v>)");
-  }
-  std::string kind = token.substr(0, c1);
-  std::string u = token.substr(c1 + 1, c2 - c1 - 1);
-  std::string v = token.substr(c2 + 1);
-  if (kind == "add") {
-    out->kind = GraphUpdate::Kind::kAddEdge;
-  } else if (kind == "remove") {
-    out->kind = GraphUpdate::Kind::kRemoveEdge;
-  } else {
-    return Status::InvalidArgument("unknown update op kind '" + kind + "'");
-  }
-  if (!ParseVertexId(u, &out->source) || !ParseVertexId(v, &out->target)) {
-    return Status::InvalidArgument("bad vertex id in update op '" + token +
-                                   "'");
-  }
-  return Status::OK();
-}
-
 std::string HandleUpdate(QueryService& service,
                          const std::vector<std::string>& tokens) {
   if (tokens.size() < 2) {
@@ -425,6 +399,50 @@ Status ParseAnswerLine(const std::string& line, Answer* out) {
   return Status::OK();
 }
 
+Status ParseQueryHeadLine(const std::string& line, QueryResult* out) {
+  std::vector<std::string> tokens = Tokenize(line);
+  if (tokens.empty() || tokens[0] != "OK") {
+    return Status::IOError("not a QUERY response: '" + line + "'");
+  }
+  bool saw_n = false, saw_ms = false, saw_layer = false;
+  for (size_t i = 1; i < tokens.size(); ++i) {
+    size_t eq = tokens[i].find('=');
+    if (eq == std::string::npos) continue;
+    std::string_view field = tokens[i];
+    std::string_view key = field.substr(0, eq);
+    std::string_view value = field.substr(eq + 1);
+    bool valid = true;
+    if (key == "n") {
+      saw_n = true;
+      valid = ParseNumber(value, &out->breakdown.final_answers);
+    } else if (key == "ms") {
+      saw_ms = true;
+      valid = ParseNumber(value, &out->wall_ms, 0.0);
+    } else if (key == "layer") {
+      saw_layer = true;
+      valid = ParseNumber(value, &out->breakdown.layer);
+    }
+    if (!valid) {
+      return Status::IOError("malformed QUERY field '" + tokens[i] + "'");
+    }
+  }
+  if (!saw_n || !saw_ms || !saw_layer) {
+    return Status::IOError("QUERY response missing required fields: '" +
+                           line + "'");
+  }
+  return Status::OK();
+}
+
+Status ParseEpochLine(const std::string& line, uint64_t* epoch) {
+  std::vector<std::string> tokens = Tokenize(line);
+  if (tokens.size() == 2 && tokens[0] == "OK" &&
+      tokens[1].starts_with("epoch=") &&
+      ParseNumber(std::string_view(tokens[1]).substr(6), epoch)) {
+    return Status::OK();
+  }
+  return Status::IOError("malformed epoch response: '" + line + "'");
+}
+
 Status ParseErrLine(const std::string& line) {
   if (!line.starts_with("ERR")) return Status::OK();
   std::string rest = line.size() > 4 ? line.substr(4) : "";
@@ -489,6 +507,31 @@ Status ParseInfoLine(const std::string& line, WireInfo* out) {
   if (!saw_epoch || !saw_shard) {
     return Status::IOError("INFO response missing required fields: '" +
                            line + "'");
+  }
+  return Status::OK();
+}
+
+Status ParseUpdateOp(const std::string& token, GraphUpdate* out) {
+  size_t c1 = token.find(':');
+  size_t c2 = c1 == std::string::npos ? std::string::npos
+                                      : token.find(':', c1 + 1);
+  if (c2 == std::string::npos) {
+    return Status::InvalidArgument("malformed update op '" + token +
+                                   "' (want add:<u>:<v> or remove:<u>:<v>)");
+  }
+  std::string kind = token.substr(0, c1);
+  std::string u = token.substr(c1 + 1, c2 - c1 - 1);
+  std::string v = token.substr(c2 + 1);
+  if (kind == "add") {
+    out->kind = GraphUpdate::Kind::kAddEdge;
+  } else if (kind == "remove") {
+    out->kind = GraphUpdate::Kind::kRemoveEdge;
+  } else {
+    return Status::InvalidArgument("unknown update op kind '" + kind + "'");
+  }
+  if (!ParseVertexId(u, &out->source) || !ParseVertexId(v, &out->target)) {
+    return Status::InvalidArgument("bad vertex id in update op '" + token +
+                                   "'");
   }
   return Status::OK();
 }

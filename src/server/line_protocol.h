@@ -110,6 +110,17 @@ std::string FormatQueryLine(const EngineQuery& q);
 /// missing v= field (older servers) by leaving `vertices` empty.
 Status ParseAnswerLine(const std::string& line, Answer* out);
 
+/// Parses the "OK n=N ms=F layer=L" head line of a QUERY response into
+/// `out`: n= into breakdown.final_answers (the answer lines that follow),
+/// ms= into wall_ms, layer= into breakdown.layer. All three are required
+/// and range-checked (a negative ms= is malformed); unknown keys are
+/// skipped. A malformed head yields IOError.
+Status ParseQueryHeadLine(const std::string& line, QueryResult* out);
+
+/// Parses the "OK epoch=E" head line of a BUMP or ROLLBACK response. A
+/// malformed or out-of-range epoch yields IOError.
+Status ParseEpochLine(const std::string& line, uint64_t* epoch);
+
 /// Decodes an "ERR <Code>: <message>" line back into the Status it encodes
 /// (unrecognized code names decode as IOError). Returns OK only if `line`
 /// is not an ERR line at all — check with starts_with("ERR") first.
@@ -133,6 +144,12 @@ Status ParseInfoLine(const std::string& line, WireInfo* out);
 /// Serializes an edge-update batch as one UPDATE request line
 /// ("update add:0:1 remove:2:3 ...", global vertex ids).
 std::string FormatUpdateLine(std::span<const GraphUpdate> updates);
+
+/// Parses one "add:<u>:<v>" / "remove:<u>:<v>" op token, the per-op form
+/// FormatUpdateLine writes (also the CLI's offline update syntax). Each
+/// endpoint must be a VertexId other than kInvalidVertex, with no sign or
+/// trailing bytes; anything else yields InvalidArgument.
+Status ParseUpdateOp(const std::string& token, GraphUpdate* out);
 
 /// Parses the "OK applied=... skipped=... rebuilt=... epoch=... mode=..."
 /// head line of an UPDATE response. applied= and epoch= are required;

@@ -116,6 +116,7 @@ void TcpServer::ServeConnection(Connection* connection) {
   const int fd = connection->fd;
   LineHandler handler(service_, dict_);
   std::string buffer;
+  size_t scanned = 0;  // buffer[0, scanned) holds no newline
   char chunk[4096];
   bool open = true;
   while (open) {
@@ -126,13 +127,26 @@ void TcpServer::ServeConnection(Connection* connection) {
     }
     buffer.append(chunk, static_cast<size_t>(n));
     size_t nl;
-    while (open && (nl = buffer.find('\n')) != std::string::npos) {
+    while (open && (nl = buffer.find('\n', scanned)) != std::string::npos) {
       std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
+      scanned = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       LineHandler::Result result = handler.Handle(line);
       if (!WriteAll(fd, result.response) || result.close) open = false;
+    }
+    // What is left is one partial line; past the bound it is refused
+    // without waiting for its newline.
+    scanned = buffer.size();
+    if (open && buffer.size() > kMaxRequestLineBytes) {
+      WriteAll(fd, "ERR " +
+                       Status::InvalidArgument(
+                           "request line exceeds " +
+                           std::to_string(kMaxRequestLineBytes) + " bytes")
+                           .ToString() +
+                       "\n.\n");
+      open = false;
     }
   }
   std::lock_guard<std::mutex> lock(connections_mutex_);

@@ -9,14 +9,17 @@
 //
 // A connection closes its own fd when its session ends, and the acceptor
 // joins finished sessions before it admits the next one, so a long-lived
-// server holds fds and threads only for live connections. When accept()
-// runs out of fds (EMFILE/ENFILE) or the peer aborts (ECONNABORTED), the
-// acceptor backs off briefly and retries instead of going deaf.
+// server holds fds and threads only for live connections. A request line
+// longer than kMaxRequestLineBytes ends its session with an error. When
+// accept() runs out of fds (EMFILE/ENFILE) or the peer aborts
+// (ECONNABORTED), the acceptor backs off briefly and retries instead of
+// going deaf.
 
 #ifndef BIGINDEX_SERVER_TCP_SERVER_H_
 #define BIGINDEX_SERVER_TCP_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -27,6 +30,14 @@
 #include "util/status.h"
 
 namespace bigindex {
+
+/// Longest request line a session buffers, newline excluded. Far above the
+/// longest line the repo's own clients send — the coordinator forwarding an
+/// UPDATE batch, about 30 bytes per op at the widest ids, so this admits
+/// batches of over half a million ops. A session whose pending line passes
+/// it gets "ERR InvalidArgument" and is closed, instead of buffering a
+/// newline-free stream without limit.
+inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
 
 struct TcpServerOptions {
   /// 0 = pick an ephemeral port (read it back with port()).

@@ -1,7 +1,6 @@
 #include "shard/remote_substrate.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <string>
 #include <utility>
 
 #include "server/line_protocol.h"
@@ -59,22 +58,16 @@ StatusOr<QueryResult> RemoteSubstrate::Query(size_t shard,
   if (lines->empty()) return Status::IOError("empty query response");
   const std::string& head = lines->front();
   if (head.starts_with("ERR")) return ParseErrLine(head);
-  if (!head.starts_with("OK")) {
-    return Status::IOError("unexpected response head: '" + head + "'");
-  }
   QueryResult result;
   result.algorithm = query.algorithm;
-  // Head fields: n= is implied by the A-line count; ms= and layer= are the
-  // shard's own measurements.
-  for (const char* key : {" ms=", " layer="}) {
-    size_t at = head.find(key);
-    if (at == std::string::npos) continue;
-    const char* value = head.c_str() + at + std::strlen(key);
-    if (key[1] == 'm') {
-      result.wall_ms = std::atof(value);
-    } else {
-      result.breakdown.layer = static_cast<size_t>(std::atoll(value));
-    }
+  // ms= and layer= are the shard's own measurements; n= announces the
+  // answer lines that follow.
+  BIGINDEX_RETURN_IF_ERROR(ParseQueryHeadLine(head, &result));
+  if (result.breakdown.final_answers != lines->size() - 1) {
+    return Status::IOError("query response announced n=" +
+                           std::to_string(result.breakdown.final_answers) +
+                           " but carried " +
+                           std::to_string(lines->size() - 1) + " answers");
   }
   result.answers.reserve(lines->size() - 1);
   for (size_t i = 1; i < lines->size(); ++i) {
@@ -82,7 +75,6 @@ StatusOr<QueryResult> RemoteSubstrate::Query(size_t shard,
     BIGINDEX_RETURN_IF_ERROR(ParseAnswerLine((*lines)[i], &a));
     result.answers.push_back(std::move(a));
   }
-  result.breakdown.final_answers = result.answers.size();
   return result;
 }
 
@@ -106,12 +98,9 @@ StatusOr<uint64_t> RemoteSubstrate::BumpEpoch(size_t shard) {
   if (lines->empty()) return Status::IOError("empty bump response");
   const std::string& head = lines->front();
   if (head.starts_with("ERR")) return ParseErrLine(head);
-  size_t at = head.find("epoch=");
-  if (!head.starts_with("OK") || at == std::string::npos) {
-    return Status::IOError("unexpected bump response: '" + head + "'");
-  }
-  return static_cast<uint64_t>(
-      std::strtoull(head.c_str() + at + 6, nullptr, 10));
+  uint64_t epoch = 0;
+  BIGINDEX_RETURN_IF_ERROR(ParseEpochLine(head, &epoch));
+  return epoch;
 }
 
 StatusOr<uint64_t> RemoteSubstrate::Rollback(size_t shard) {
@@ -121,12 +110,9 @@ StatusOr<uint64_t> RemoteSubstrate::Rollback(size_t shard) {
   if (lines->empty()) return Status::IOError("empty rollback response");
   const std::string& head = lines->front();
   if (head.starts_with("ERR")) return ParseErrLine(head);
-  size_t at = head.find("epoch=");
-  if (!head.starts_with("OK") || at == std::string::npos) {
-    return Status::IOError("unexpected rollback response: '" + head + "'");
-  }
-  return static_cast<uint64_t>(
-      std::strtoull(head.c_str() + at + 6, nullptr, 10));
+  uint64_t epoch = 0;
+  BIGINDEX_RETURN_IF_ERROR(ParseEpochLine(head, &epoch));
+  return epoch;
 }
 
 StatusOr<BoundaryExport> RemoteSubstrate::Boundary(size_t shard) {

@@ -172,6 +172,10 @@ ShardedSearchService::EnsureRegion() {
     std::sort(state->algos.begin(), state->algos.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
+  // A partial region serves this query only: stored, it would keep the
+  // failed shard's export out until the next generation advance, so the
+  // next query retries the fetch instead.
+  if (state->partial) return std::shared_ptr<const RegionState>(state);
   region_ = std::move(state);
   return region_;
 }

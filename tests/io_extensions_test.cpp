@@ -1,191 +1,16 @@
-// Tests for the binary graph format and the Appendix-A.2 typing utility.
+// Tests for the Appendix-A.2 typing utility.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/big_index.h"
-#include "graph/binary_io.h"
 #include "ontology/typing.h"
 #include "util/random.h"
 #include "workload/datasets.h"
 
 namespace bigindex {
 namespace {
-
-Graph RandomGraph(uint64_t seed, size_t n, size_t m, size_t labels,
-                  LabelDictionary& dict) {
-  Rng rng(seed);
-  GraphBuilder b;
-  for (size_t i = 0; i < n; ++i) {
-    b.AddVertex(dict.Intern("L" + std::to_string(rng.Uniform(labels))));
-  }
-  for (size_t i = 0; i < m; ++i) {
-    b.AddEdge(static_cast<VertexId>(rng.Uniform(n)),
-              static_cast<VertexId>(rng.Uniform(n)));
-  }
-  return std::move(b.Build()).value();
-}
-
-TEST(BinaryIoTest, RoundTripExact) {
-  LabelDictionary dict;
-  Graph g = RandomGraph(1, 200, 600, 10, dict);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteGraphBinary(g, dict, ss).ok());
-
-  LabelDictionary dict2;
-  auto g2 = ReadGraphBinary(ss, dict2);
-  ASSERT_TRUE(g2.ok()) << g2.status().ToString();
-  ASSERT_EQ(g2->NumVertices(), g.NumVertices());
-  ASSERT_EQ(g2->NumEdges(), g.NumEdges());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_EQ(dict2.Name(g2->label(v)), dict.Name(g.label(v)));
-  }
-  EXPECT_EQ(g2->Edges(), g.Edges());
-}
-
-TEST(BinaryIoTest, RemapsIntoPopulatedDictionary) {
-  LabelDictionary dict;
-  Graph g = RandomGraph(2, 50, 100, 4, dict);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteGraphBinary(g, dict, ss).ok());
-
-  LabelDictionary dict2;
-  dict2.Intern("already");
-  dict2.Intern("present");
-  auto g2 = ReadGraphBinary(ss, dict2);
-  ASSERT_TRUE(g2.ok());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_EQ(dict2.Name(g2->label(v)), dict.Name(g.label(v)));
-  }
-}
-
-TEST(BinaryIoTest, RejectsBadMagic) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ss.write("NOPE0000", 8);
-  LabelDictionary dict;
-  auto g = ReadGraphBinary(ss, dict);
-  EXPECT_FALSE(g.ok());
-  EXPECT_EQ(g.status().code(), StatusCode::kCorruption);
-}
-
-TEST(BinaryIoTest, RejectsTruncation) {
-  LabelDictionary dict;
-  Graph g = RandomGraph(3, 40, 120, 3, dict);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteGraphBinary(g, dict, ss).ok());
-  std::string full = ss.str();
-  for (size_t frac = 1; frac <= 3; ++frac) {
-    std::stringstream cut(full.substr(0, full.size() * frac / 4),
-                          std::ios::in | std::ios::binary);
-    LabelDictionary d2;
-    EXPECT_FALSE(ReadGraphBinary(cut, d2).ok()) << "fraction " << frac;
-  }
-}
-
-TEST(BinaryIoTest, FileRoundTrip) {
-  LabelDictionary dict;
-  Graph g = RandomGraph(4, 100, 300, 5, dict);
-  std::string path = testing::TempDir() + "/bigindex_binary_test.big";
-  ASSERT_TRUE(SaveGraphBinaryFile(g, dict, path).ok());
-  LabelDictionary dict2;
-  auto g2 = LoadGraphBinaryFile(path, dict2);
-  ASSERT_TRUE(g2.ok());
-  EXPECT_EQ(g2->Edges(), g.Edges());
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoTest, MissingFileFails) {
-  LabelDictionary dict;
-  EXPECT_EQ(LoadGraphBinaryFile("/no/such/file.big", dict).status().code(),
-            StatusCode::kIOError);
-}
-
-TEST(BinaryIoTest, RejectsVersion1WithClearMessage) {
-  LabelDictionary dict;
-  Graph g = RandomGraph(5, 20, 40, 3, dict);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteGraphBinary(g, dict, ss).ok());
-  std::string bytes = ss.str();
-  bytes[4] = 1;  // version field follows the 4-byte magic
-  std::stringstream v1(bytes, std::ios::in | std::ios::binary);
-  LabelDictionary d2;
-  auto g2 = ReadGraphBinary(v1, d2);
-  ASSERT_FALSE(g2.ok());
-  EXPECT_EQ(g2.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(g2.status().message().find("version 1"), std::string::npos);
-  EXPECT_NE(g2.status().message().find("re-serialize"), std::string::npos);
-}
-
-TEST(BinaryIoTest, RejectsEndiannessMismatch) {
-  LabelDictionary dict;
-  Graph g = RandomGraph(6, 20, 40, 3, dict);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteGraphBinary(g, dict, ss).ok());
-  std::string bytes = ss.str();
-  // Byte-swap the marker at offset 8 — what a reader of the opposite byte
-  // order would observe.
-  std::swap(bytes[8], bytes[11]);
-  std::swap(bytes[9], bytes[10]);
-  std::stringstream swapped(bytes, std::ios::in | std::ios::binary);
-  LabelDictionary d2;
-  auto g2 = ReadGraphBinary(swapped, d2);
-  ASSERT_FALSE(g2.ok());
-  EXPECT_NE(g2.status().message().find("endianness"), std::string::npos);
-}
-
-TEST(BinaryIoTest, OntologyRoundTripExact) {
-  LabelDictionary dict;
-  OntologyBuilder ob;
-  LabelId person = dict.Intern("Person"), actor = dict.Intern("Actor"),
-          director = dict.Intern("Director"), thing = dict.Intern("Thing");
-  ob.AddSupertypeEdge(actor, person);
-  ob.AddSupertypeEdge(director, person);
-  ob.AddSupertypeEdge(person, thing);
-  Ontology ont = std::move(ob.Build()).value();
-
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteOntologyBinary(ont, dict, ss).ok());
-
-  // Read into a pre-populated dictionary: ids shift, names must survive.
-  LabelDictionary dict2;
-  dict2.Intern("occupied");
-  auto ont2 = ReadOntologyBinary(ss, dict2);
-  ASSERT_TRUE(ont2.ok()) << ont2.status().ToString();
-  EXPECT_EQ(ont2->NumEdges(), ont.NumEdges());
-  EXPECT_EQ(ont2->NumTypes(), ont.NumTypes());
-  EXPECT_TRUE(ont2->IsSupertype(dict2.Find("Thing"), dict2.Find("Actor")));
-  EXPECT_TRUE(ont2->IsSupertype(dict2.Find("Person"),
-                                dict2.Find("Director")));
-  EXPECT_FALSE(ont2->IsSupertype(dict2.Find("Actor"), dict2.Find("Person")));
-  EXPECT_EQ(ont2->HeightAbove(dict2.Find("Actor")), 2u);
-}
-
-TEST(BinaryIoTest, OntologyRejectsCorruption) {
-  LabelDictionary dict;
-  OntologyBuilder ob;
-  ob.AddSupertypeEdge(dict.Intern("A"), dict.Intern("B"));
-  Ontology ont = std::move(ob.Build()).value();
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteOntologyBinary(ont, dict, ss).ok());
-  std::string bytes = ss.str();
-
-  {  // graph magic on an ontology payload
-    std::string wrong = bytes;
-    wrong[3] = 'X';
-    std::stringstream in(wrong, std::ios::in | std::ios::binary);
-    LabelDictionary d;
-    EXPECT_FALSE(ReadOntologyBinary(in, d).ok());
-  }
-  for (size_t frac = 1; frac <= 3; ++frac) {  // truncations
-    std::stringstream cut(bytes.substr(0, bytes.size() * frac / 4),
-                          std::ios::in | std::ios::binary);
-    LabelDictionary d;
-    EXPECT_FALSE(ReadOntologyBinary(cut, d).ok()) << "fraction " << frac;
-  }
-}
-
-// ---- Appendix A.2 typing ----
 
 TEST(TypingTest, AttachesUntypedLabelsUnderFallback) {
   LabelDictionary dict;

@@ -771,6 +771,70 @@ TEST(LineProtocolTest, InRangeNumericOptionsStillParse) {
   }
 }
 
+// Worker replies the coordinator trusts go through the same range-checked
+// parsers: each malformed head field below fails as IOError instead of
+// being read as 0 (atof/atoll/strtoull did).
+TEST(LineProtocolTest, QueryHeadParsesAllFields) {
+  QueryResult r;
+  ASSERT_TRUE(ParseQueryHeadLine("OK n=3 ms=1.5e-02 layer=2", &r).ok());
+  EXPECT_EQ(r.breakdown.final_answers, 3u);
+  EXPECT_DOUBLE_EQ(r.wall_ms, 0.015);
+  EXPECT_EQ(r.breakdown.layer, 2u);
+  EXPECT_EQ(ParseQueryHeadLine("OK n=3 ms=1", &r).code(),
+            StatusCode::kIOError);  // layer= missing
+  EXPECT_EQ(ParseQueryHeadLine("ERR IOError: x", &r).code(),
+            StatusCode::kIOError);
+}
+
+void ExpectQueryHeadRejected(const std::string& line) {
+  QueryResult r;
+  EXPECT_EQ(ParseQueryHeadLine(line, &r).code(), StatusCode::kIOError)
+      << line;
+}
+
+TEST(LineProtocolTest, QueryHeadRejectsMalformedN) {
+  ExpectQueryHeadRejected("OK n=x3 ms=1 layer=0");
+  ExpectQueryHeadRejected("OK n=99999999999999999999999 ms=1 layer=0");
+  ExpectQueryHeadRejected("OK n=-1 ms=1 layer=0");
+}
+
+TEST(LineProtocolTest, QueryHeadRejectsMalformedMs) {
+  ExpectQueryHeadRejected("OK n=0 ms=fast layer=0");
+  ExpectQueryHeadRejected("OK n=0 ms=1e999 layer=0");
+  ExpectQueryHeadRejected("OK n=0 ms=-0.5 layer=0");
+}
+
+TEST(LineProtocolTest, QueryHeadRejectsMalformedLayer) {
+  ExpectQueryHeadRejected("OK n=0 ms=1 layer=top");
+  ExpectQueryHeadRejected("OK n=0 ms=1 layer=99999999999999999999999");
+  ExpectQueryHeadRejected("OK n=0 ms=1 layer=-1");
+}
+
+TEST(LineProtocolTest, EpochLineRejectsMalformedEpoch) {
+  uint64_t epoch = 0;
+  ASSERT_TRUE(ParseEpochLine("OK epoch=18446744073709551615", &epoch).ok());
+  EXPECT_EQ(epoch, UINT64_MAX);
+  for (const char* line :
+       {"OK epoch=7x", "OK epoch=18446744073709551616", "OK epoch=-1",
+        "OK epoch=", "OK", "ERR Unavailable: down"}) {
+    EXPECT_EQ(ParseEpochLine(line, &epoch).code(), StatusCode::kIOError)
+        << line;
+  }
+}
+
+// The CLI's offline update syntax goes through the same op parser as the
+// UPDATE verb: an endpoint past VertexId is refused, not wrapped (the CLI's
+// own copy turned add:4294967297:0 into the edge 1 -> 0).
+TEST(LineProtocolTest, UpdateOpRejectsOutOfRangeEndpoint) {
+  GraphUpdate up;
+  ASSERT_TRUE(ParseUpdateOp("add:4294967294:0", &up).ok());
+  EXPECT_EQ(up.source, 4294967294u);
+  EXPECT_EQ(ParseUpdateOp("add:4294967297:0", &up).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseUpdateOp("remove:0:4294967295", &up).code(),
+            StatusCode::kInvalidArgument);  // kInvalidVertex itself
+}
+
 TEST(TcpServerTest, ServesLineProtocolOverLoopback) {
   ServiceFixture fx;
   SearchService service(fx.engine, {.max_linger_ms = 0});
@@ -897,6 +961,54 @@ TEST(TcpServerTest, SequentialConnectionsBeyondFdLimitAreServed) {
           << "connection " << i;
     }
   }
+  server.Stop();
+}
+
+// A client that never sends a newline cannot grow its session's buffer
+// without bound: past kMaxRequestLineBytes it gets ERR InvalidArgument and
+// is disconnected, and the server goes on serving other connections.
+TEST(TcpServerTest, OverlongRequestLineIsRefused) {
+  ServiceFixture fx;
+  SearchService service(fx.engine, {.max_linger_ms = 0});
+  TcpServer server(&service, nullptr, {.port = 0});
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << started.ToString();
+  }
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{.tv_sec = 10, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  const std::string chunk(size_t{64} << 10, 'x');
+  const size_t total = kMaxRequestLineBytes + 1;
+  size_t sent = 0;
+  while (sent < total) {
+    ssize_t n = ::send(fd, chunk.data(), std::min(chunk.size(), total - sent),
+                       MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  EXPECT_EQ(sent, total);
+  std::string response;
+  char buf[256];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "server did not close the connection";
+  EXPECT_TRUE(response.starts_with("ERR InvalidArgument")) << response;
+  EXPECT_TRUE(response.ends_with("\n.\n")) << response;
+  ::close(fd);
+
+  EXPECT_EQ(PingOnce(server.port()), "OK pong\n.\n");
   server.Stop();
 }
 

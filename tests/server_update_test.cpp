@@ -18,7 +18,7 @@
 
 #include "bisim/maintenance.h"
 #include "core/big_index.h"
-#include "core/index_io.h"
+#include "core/index_image.h"
 #include "engine/query_engine.h"
 #include "graph/label_dictionary.h"
 #include "server/line_protocol.h"
@@ -66,7 +66,7 @@ std::string Serialize(const BigIndex& index) {
   LabelDictionary dict;
   for (size_t i = 0; i < 10; ++i) dict.Intern("t" + std::to_string(i));
   std::ostringstream out;
-  EXPECT_TRUE(WriteIndex(index, dict, out).ok());
+  EXPECT_TRUE(WriteIndexImage(index, dict, out).ok());
   return out.str();
 }
 

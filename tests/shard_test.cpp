@@ -669,6 +669,10 @@ class HookedSubstrate : public ShardSubstrate {
     return inner_->Rollback(shard);
   }
   StatusOr<BoundaryExport> Boundary(size_t shard) override {
+    if (fail_boundary > 0) {
+      --fail_boundary;
+      return Status::Unavailable("boundary fetch refused");
+    }
     return inner_->Boundary(shard);
   }
 
@@ -678,6 +682,8 @@ class HookedSubstrate : public ShardSubstrate {
   /// Update waits this long before it reaches the shard, so concurrent
   /// queries have time to run against the pre-update fleet.
   int update_delay_ms = 0;
+  /// The next this-many Boundary calls fail as Unavailable.
+  int fail_boundary = 0;
 
  private:
   ShardSubstrate* inner_;
@@ -714,6 +720,28 @@ TEST(ShardCoordinator, RollbackCoherenceFailureAdvancesGeneration) {
   auto after = service.Query(q);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(Sorted(after->answers), fx.MonolithicAnswers(fx.graph, q));
+}
+
+// Under allow_partial, a region assembled without a failed shard's
+// BOUNDARY export serves only the query that saw the failure: once the
+// shard answers again, the next query fetches its export and is whole.
+TEST(ShardCoordinator, PartialRegionIsRetriedAfterShardRecovers) {
+  CoordinatorFixture fx;
+  HookedSubstrate flaky(fx.substrate.get());
+  ShardedSearchService service(&flaky,
+                               CoordinatorOptions({.allow_partial = true}));
+  ASSERT_TRUE(service.Attach().ok());
+  const EngineQuery q = fx.ExactQuery();
+
+  flaky.fail_boundary = 1;
+  auto first = service.Query(q);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(service.Snapshot().partial_results, 1u);
+
+  auto second = service.Query(q);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(service.Snapshot().partial_results, 1u);
+  EXPECT_EQ(Sorted(second->answers), fx.MonolithicAnswers(fx.graph, q));
 }
 
 // The coordinator-level CacheEpochRace: readers hammer one query while the

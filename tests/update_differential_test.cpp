@@ -24,7 +24,7 @@
 
 #include "bisim/maintenance.h"
 #include "core/big_index.h"
-#include "core/index_io.h"
+#include "core/index_image.h"
 #include "engine/query_engine.h"
 #include "graph/label_dictionary.h"
 #include "search/rclique.h"
@@ -118,7 +118,7 @@ std::string Serialize(const BigIndex& index, size_t label_slots) {
     dict.Intern("t" + std::to_string(i));
   }
   std::ostringstream out;
-  EXPECT_TRUE(WriteIndex(index, dict, out).ok());
+  EXPECT_TRUE(WriteIndexImage(index, dict, out).ok());
   return out.str();
 }
 

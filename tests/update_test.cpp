@@ -18,7 +18,7 @@
 #include "bisim/bisimulation.h"
 #include "bisim/maintenance.h"
 #include "core/big_index.h"
-#include "core/index_io.h"
+#include "core/index_image.h"
 #include "graph/label_dictionary.h"
 #include "testing/random_graph.h"
 #include "update/incremental.h"
@@ -107,16 +107,16 @@ void ExpectSameBisim(const BisimResult& a, const BisimResult& b,
   }
 }
 
-// Serializes an index with a synthetic dictionary covering every label slot
-// the ontology can produce; byte equality of this is the strongest
-// equivalence the system defines (it is what images and the wire carry).
+// The index image written with a synthetic dictionary covering every label
+// slot the ontology can produce; byte equality of images is the strongest
+// equivalence the system defines.
 std::string Serialize(const BigIndex& index, size_t label_slots) {
   LabelDictionary dict;
   for (size_t i = 0; i < label_slots; ++i) {
     dict.Intern("t" + std::to_string(i));
   }
   std::ostringstream out;
-  EXPECT_TRUE(WriteIndex(index, dict, out).ok());
+  EXPECT_TRUE(WriteIndexImage(index, dict, out).ok());
   return out.str();
 }
 
@@ -390,9 +390,10 @@ TEST(MaintainIndexTest, NoNetChangeReturnsUnchangedIndex) {
 }
 
 TEST(MaintainIndexTest, EdgeSemanticsMatchWholesalePath) {
-  // Satellite regression: duplicate updates, add-then-remove, and self-loops
-  // must land identically via incremental maintenance and the wholesale
-  // member ApplyUpdates (both normalize through NormalizeUpdates).
+  // Duplicate updates, add-then-remove, and self-loops must land exactly as
+  // the graph-level ApplyUpdates lands them (both normalize through
+  // NormalizeUpdates), and the maintained index must equal a from-scratch
+  // Build of that graph down to its image bytes.
   RandomInstance inst = MakeInstance(13);
   BigIndexOptions opts;
   opts.max_layers = 3;
@@ -407,9 +408,13 @@ TEST(MaintainIndexTest, EdgeSemanticsMatchWholesalePath) {
   auto maintained = MaintainIndex(*index, batch);
   ASSERT_TRUE(maintained.ok());
 
-  BigIndex wholesale = *index;
-  ASSERT_TRUE(wholesale.ApplyUpdates(batch).ok());
-  EXPECT_TRUE(GraphsIdentical(maintained->base(), wholesale.base()));
+  auto updated_base = ApplyUpdates(inst.graph, batch);
+  ASSERT_TRUE(updated_base.ok());
+  EXPECT_TRUE(GraphsIdentical(maintained->base(), *updated_base));
+  auto rebuilt = BigIndex::Build(*updated_base, &inst.ontology, opts);
+  ASSERT_TRUE(rebuilt.ok());
+  const size_t slots = inst.ontology.LabelSlots();
+  EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots));
   EXPECT_TRUE(maintained->base().HasEdge(1, 1));
   EXPECT_FALSE(maintained->base().HasEdge(2, 3));
   EXPECT_TRUE(maintained->base().HasEdge(0, 0));

@@ -227,14 +227,14 @@ int RunRollback(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", ParseErrLine(head).ToString().c_str());
     return 1;
   }
-  // Head is "OK epoch=E".
-  const size_t eq = head.find("epoch=");
-  if (eq == std::string::npos) {
-    std::fprintf(stderr, "error: malformed rollback response '%s'\n",
-                 head.c_str());
+  uint64_t epoch = 0;
+  Status parsed = ParseEpochLine(head, &epoch);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
     return 1;
   }
-  std::printf("rolled back, epoch=%s\n", head.c_str() + eq + 6);
+  std::printf("rolled back, epoch=%llu\n",
+              static_cast<unsigned long long>(epoch));
   return 0;
 }
 

@@ -5,8 +5,8 @@
 # cross-thread sharing, including the update differential gate and the
 # cache-epoch race test) plus the multi-process coordinator/shard
 # integration test (which now drives the UPDATE verb end to end), then an
-# ASan+UBSan pass over the index-image fuzz and binary-io suites
-# (hostile-bytes paths), then a docs-link check, a metrics-overhead smoke, a
+# ASan+UBSan pass over the index-image fuzz suite (the hostile-bytes path),
+# then a docs-link check, a metrics-overhead smoke, a
 # parallel-construction smoke, an index-image cold-start smoke, the shard
 # scatter-gather throughput gate, a maintenance differential smoke, and a
 # short serving-layer load smoke (with the mixed read/update phase).
@@ -47,14 +47,14 @@ echo "=== tsan: multi-process coordinator/shard integration ==="
 tools/shard_integration.sh build-tsan
 
 echo
-echo "=== asan+ubsan: index-image fuzz + binary io (build-asan/) ==="
+echo "=== asan+ubsan: index-image fuzz (build-asan/) ==="
 cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # The fuzz suite feeds truncated/corrupted images through the mmap loader;
 # any out-of-bounds read or UB under hostile bytes is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*:BinaryIo*'
+  --gtest_filter='IndexImageFuzz*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
@@ -73,13 +73,14 @@ echo "=== smoke: disabled-instrumentation overhead budget ==="
 echo
 echo "=== smoke: parallel construction (2 threads == serial) ==="
 # Builds a small index twice (serial, then 2 build threads) and fails if the
-# serialized results differ — exercises the parallel construction path in CI.
+# index images differ — exercises the parallel construction path in CI.
 ./build/bench/bench_construction --smoke
 
 echo
 echo "=== smoke: index image cold start (load correctness + >=10x) ==="
-# Saves a small index in both formats and fails unless the mmap image loads
-# correctly (identical answers) and beats the parsing loader by >= 10x.
+# Saves a 7-layer dbpedia@0.01 index image and fails unless it loads
+# correctly (identical answers) and >= 10x faster than a serial
+# BigIndex::Build of the same graph.
 ./build/bench/bench_index_load --check
 
 echo
@@ -92,7 +93,7 @@ BIGINDEX_BENCH_SCALE="${BIGINDEX_BENCH_SCALE:-0.002}" \
 echo
 echo "=== smoke: maintenance differential (incremental == wholesale == rebuild) ==="
 # One mixed update batch through all three maintenance paths; fails unless
-# the three serialized indexes are byte-identical.
+# the three index images are byte-identical.
 ./build/bench/bench_maintenance --smoke
 
 echo
