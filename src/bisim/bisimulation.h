@@ -57,11 +57,6 @@ class BisimMapping {
             member_offsets_[s + 1] - member_offsets_[s]};
   }
 
-  /// Bisim^-1 as a HalfInterval view over the flat members array.
-  CsrView MembersView() const {
-    return {member_offsets_.data(), members_.data()};
-  }
-
   size_t NumSupernodes() const { return member_offsets_.size() - 1; }
   size_t NumVertices() const { return vertex_to_super_.size(); }
 

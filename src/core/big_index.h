@@ -81,8 +81,8 @@ class BigIndex {
   /// Reassembles an index from a loaded image (core/index_image.h) or from
   /// incremental maintenance (update/maintain.h). Validates
   /// layer-to-layer consistency (mapping domains/codomains). `options`
-  /// become the index's stored options (serialized images don't carry them;
-  /// maintenance passes the predecessor's so rebuild behavior is stable).
+  /// become the index's stored options (the image header's recorded ones,
+  /// or the predecessor's under maintenance, so rebuild behavior is stable).
   static StatusOr<BigIndex> FromParts(Graph base, const Ontology* ontology,
                                       std::vector<IndexLayer> layers,
                                       const BigIndexOptions& options = {});

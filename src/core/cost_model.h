@@ -72,7 +72,6 @@ class CostModel {
            (1.0 - options_.alpha) * Distort(config);
   }
 
-  size_t num_samples() const { return samples_.size(); }
   const CostModelOptions& options() const { return options_; }
 
   /// Ground-truth compression ratio on the whole graph (used to validate the

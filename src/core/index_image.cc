@@ -1,7 +1,9 @@
 #include "core/index_image.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -182,6 +184,7 @@ struct Section {
 
 struct ParsedTable {
   uint32_t num_layers = 0;
+  BigIndexOptions options;  // recorded build options (or the defaults)
   uint32_t shard_id = 0;
   uint32_t num_shards = 0;  // 0 = monolithic, no SHARDMAP section
   bool has_ghosts = false;  // sharded image with a trailing GHOSTS section
@@ -240,6 +243,26 @@ StatusOr<ParsedTable> ValidateHeaderAndTable(const std::byte* data,
   }
   if (table.num_shards != 0 && table.shard_id >= table.num_shards) {
     return Status::Corruption("shard id out of range for shard count");
+  }
+  // Build options: max_layers u32, flags u32, stop_ratio f64. All zero is
+  // an image that predates them: defaults, at least as deep as its layers.
+  const uint32_t max_layers = LoadU32(data + 40), flags = LoadU32(data + 44);
+  const auto stop_ratio = std::bit_cast<double>(LoadU64(data + 48));
+  if (max_layers == 0 && flags == 0 && LoadU64(data + 48) == 0) {
+    table.options.max_layers =
+        std::max<size_t>(table.options.max_layers, table.num_layers);
+  } else if (flags != Fmt::kOptionsRecorded &&
+             flags != (Fmt::kOptionsRecorded | Fmt::kOptionsGreedyConfig)) {
+    return Status::Corruption("unknown build-option flags");
+  } else if (max_layers < table.num_layers ||
+             max_layers > Fmt::kMaxRecordedLayers) {
+    return Status::Corruption("recorded max_layers out of range");
+  } else if (!std::isfinite(stop_ratio)) {
+    return Status::Corruption("recorded stop_ratio is not finite");
+  } else {
+    table.options.max_layers = max_layers;
+    table.options.stop_ratio = stop_ratio;
+    table.options.use_greedy_config = flags & Fmt::kOptionsGreedyConfig;
   }
   uint64_t expected_sections =
       2 + 3ull * table.num_layers + (table.num_shards != 0 ? 1 : 0);
@@ -574,7 +597,8 @@ StatusOr<BigIndex> LoadFromMemory(const std::byte* data, uint64_t size,
     layers.push_back(IndexLayer{std::move(*config), std::move(*graph),
                                 std::move(*mapping)});
   }
-  return BigIndex::FromParts(std::move(*base), ontology, std::move(layers));
+  return BigIndex::FromParts(std::move(*base), ontology, std::move(layers),
+                             table->options);
 }
 
 }  // namespace
@@ -605,6 +629,13 @@ Status WriteIndexImage(const BigIndex& index, const LabelDictionary& dict,
              !shard.ghosts.empty()) {
     return Status::InvalidArgument(
         "monolithic image cannot carry shard id, remap, or ghosts");
+  }
+  const BigIndexOptions& options = index.options();
+  if (options.max_layers < index.NumLayers() ||
+      options.max_layers > Fmt::kMaxRecordedLayers ||
+      !std::isfinite(options.stop_ratio)) {
+    return Status::InvalidArgument(
+        "index options cannot be recorded in an image header");
   }
   std::vector<std::pair<std::pair<uint32_t, uint32_t>, std::string>> sections;
   sections.emplace_back(std::make_pair(Fmt::kSectionDict, 0u),
@@ -655,7 +686,11 @@ Status WriteIndexImage(const BigIndex& index, const LabelDictionary& dict,
   AppendU32(header, static_cast<uint32_t>(index.NumLayers()));
   AppendU32(header, shard.shard_id);    // 0 when monolithic
   AppendU32(header, shard.num_shards);  // 0 = monolithic
-  header.append(16, '\0');  // reserved
+  AppendU32(header, static_cast<uint32_t>(options.max_layers));
+  AppendU32(header, Fmt::kOptionsRecorded | (options.use_greedy_config
+                                                 ? Fmt::kOptionsGreedyConfig
+                                                 : 0));
+  AppendU64(header, std::bit_cast<uint64_t>(options.stop_ratio));
   AppendU64(header, Fnv1a(header.data(), header.size()));
   assert(header.size() == Fmt::kHeaderSize);
 

@@ -6,7 +6,8 @@
 // DESIGN.md "Flat index image format" for the full specification):
 //
 //   [ 64-byte header      ]  magic, version, endianness marker, file size,
-//                            section count, layer count, header checksum
+//                            section count, layer count, shard fields,
+//                            build options, header checksum
 //   [ section table       ]  32 bytes per section: kind, layer, offset,
 //                            length, FNV-1a checksum of the payload
 //   [ section payloads    ]  back to back, zero-padded to 8-byte boundaries
@@ -30,7 +31,8 @@
 // (offset monotonicity, id ranges) are validated before any structure is
 // wired. Corrupt input yields a non-OK Status, never UB. The ontology is
 // not serialized (it ships with the dataset); the caller passes the one the
-// index was built with.
+// index was built with. The header records max_layers, stop_ratio and
+// use_greedy_config, so a loaded index is maintained at its built depth.
 //
 // The image is the only index format: the CLI, the daemon and the benches
 // read and write it, and its bytes are the byte-identity oracle of the
@@ -62,6 +64,12 @@ struct IndexImageFormat {
   static constexpr size_t kHeaderSize = 64;
   static constexpr size_t kSectionEntrySize = 32;
 
+  // Build-option flags; every writer sets kOptionsRecorded, so all-zero
+  // option bytes mark an image that predates them.
+  static constexpr uint32_t kOptionsRecorded = 1u << 0;
+  static constexpr uint32_t kOptionsGreedyConfig = 1u << 1;
+  static constexpr uint32_t kMaxRecordedLayers = 64;  // header max_layers cap
+
   // Section kinds.
   static constexpr uint32_t kSectionDict = 1;     // label dictionary strings
   static constexpr uint32_t kSectionGraph = 2;    // one layer's flat Graph
@@ -89,7 +97,8 @@ struct ShardImageInfo {
   bool IsSharded() const { return num_shards != 0; }
 };
 
-/// Writes `index` as a flat image. Output is byte-deterministic: the same
+/// Writes `index` as a flat image, options() in the header (InvalidArgument
+/// if they cannot be recorded). Output is byte-deterministic: the same
 /// index (and BigIndex construction is byte-identical across thread counts)
 /// produces the same bytes. The ShardImageInfo overloads stamp the shard
 /// identity into the header and append the SHARDMAP section; a
@@ -119,7 +128,8 @@ struct IndexImageOptions {
 /// name the same strings, in the same order, as when the image was written
 /// (the usual case: the dataset's ontology was loaded into `dict` first).
 /// Remaining image labels are interned into `dict`. `ontology` must outlive
-/// the returned index.
+/// the returned index. Its options() are the recorded ones, or the defaults
+/// for an image that predates them.
 /// If `shard_out` is non-null it receives the image's shard identity
 /// (monolithic images yield a default ShardImageInfo).
 StatusOr<BigIndex> LoadIndexImage(const std::string& path,

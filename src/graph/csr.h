@@ -58,11 +58,6 @@ class CsrView {
 
   uint64_t Degree(VertexId v) const { return offsets_[v + 1] - offsets_[v]; }
 
-  /// The payload of `iv` as a span (for std algorithms over one range).
-  std::span<const VertexId> Slice(HalfInterval iv) const {
-    return {payload_ + iv.begin, iv.size()};
-  }
-
   const VertexId* payload() const { return payload_; }
 
  private:

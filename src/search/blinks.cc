@@ -33,11 +33,10 @@ class LazyCone {
   }
 
   /// Expands one BFS level. Returns the vertices newly discovered.
-  std::span<const VertexId> ExpandLevel(size_t* popped) {
+  std::span<const VertexId> ExpandLevel() {
     size_t new_begin = s_.queue.size();
     while (head_ < level_end_) {
       VertexId v = s_.queue[head_++];
-      if (popped) ++(*popped);
       const auto [begin, end] = in_[v];
       for (uint64_t i = begin; i < end; ++i) {
         VertexId u = in_.Slot(i);
@@ -155,7 +154,7 @@ size_t BlinksIndex::SingleLevelMemoryEstimate(const Graph& g) {
   return g.NumVertices() * g.DistinctLabels().size() * sizeof(uint32_t);
 }
 
-std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
+std::vector<Answer> BlinksSearch(const Graph& g,
                                  const std::vector<LabelId>& keywords,
                                  const BlinksOptions& options,
                                  QueryContext& ctx, BlinksStats* stats) {
@@ -179,9 +178,6 @@ std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
   std::vector<VertexId>& partial = ctx.VertexScratch(0);   // >=1 cone, not complete
   std::vector<VertexId>& complete = ctx.VertexScratch(1);  // all cones (answer roots)
 
-  BlinksStats local_stats;
-  BlinksStats& st = stats ? *stats : local_stats;
-
   auto record_discovery = [&](size_t cone_idx, VertexId v) {
     bool was_virgin = known_mask[v] == 0;
     known_mask[v] |= (1u << cone_idx);
@@ -190,14 +186,6 @@ std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
       complete.push_back(v);
     } else if (was_virgin) {
       partial.push_back(v);
-      // Node-keyword map probe (bi-level index use): an in-block hit tells
-      // us immediately that v is a promising root; the probe count feeds the
-      // diagnostics/breakdown figures. Distances stay exact via the cones.
-      for (size_t j = 0; j < nq; ++j) {
-        if (j == cone_idx) continue;
-        ++st.probes;
-        index.InBlockKeywordDistance(v, keywords[j]);
-      }
     }
   };
 
@@ -241,7 +229,7 @@ std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
       // Strict: at lb == kth a future root could tie the kth score and win
       // the deterministic tie-break, so only stop when strictly better.
       if (kth < std::min(lb_virgin, lb_partial)) {
-        st.early_terminated = true;
+        if (stats) stats->early_terminated = true;
         break;
       }
     }
@@ -257,8 +245,7 @@ std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
     }
     if (pick == nq) break;  // all exhausted: results are exact and complete
 
-    auto fresh = cones[pick].ExpandLevel(&st.vertices_popped);
-    ++st.levels_expanded;
+    auto fresh = cones[pick].ExpandLevel();
     for (VertexId v : fresh) record_discovery(pick, v);
   }
 
@@ -289,22 +276,18 @@ std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
   return answers;
 }
 
-std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
+std::vector<Answer> BlinksSearch(const Graph& g,
                                  const std::vector<LabelId>& keywords,
                                  const BlinksOptions& options,
                                  BlinksStats* stats) {
   QueryContext ctx;
-  return BlinksSearch(g, index, keywords, options, ctx, stats);
+  return BlinksSearch(g, keywords, options, ctx, stats);
 }
 
 std::vector<Answer> BlinksAlgorithm::Evaluate(
     const Graph& g, const std::vector<LabelId>& keywords,
     QueryContext& ctx) const {
-  const BlinksIndex* index = cache_.GetOrBuild(g, [&] {
-    return std::make_unique<BlinksIndex>(
-        BlinksIndex::Build(g, options_.block_size));
-  });
-  return BlinksSearch(g, *index, keywords, options_, ctx);
+  return BlinksSearch(g, keywords, options_, ctx);
 }
 
 std::optional<Answer> BlinksAlgorithm::VerifyCandidate(
@@ -312,10 +295,6 @@ std::optional<Answer> BlinksAlgorithm::VerifyCandidate(
     const Answer& candidate, QueryContext& ctx) const {
   return CompleteRootedAnswer(g, keywords, candidate.root, options_.d_max,
                               options_.materialize_paths, ctx);
-}
-
-void BlinksAlgorithm::ClearCache() const {
-  cache_.Clear();
 }
 
 }  // namespace bigindex

@@ -1,12 +1,12 @@
 // Address-reuse-safe cache of per-graph derived structures.
 //
-// BlinksAlgorithm and RCliqueAlgorithm build an auxiliary index per graph
-// (distance blocks, neighbor lists) and cache it so one algorithm object can
-// serve many queries. Keying such a cache by `const Graph*` is a lifetime
-// trap: graphs are values, and after one dies the allocator may hand its
-// address to an unrelated graph, silently resurrecting a stale entry (the
-// CsrDifferential suite hits exactly this by evaluating hundreds of
-// short-lived graphs through one algorithm object).
+// RCliqueAlgorithm builds an auxiliary index per graph (neighbor lists) and
+// caches it so one algorithm object can serve many queries. Keying such a
+// cache by `const Graph*` is a lifetime trap: graphs are values, and after
+// one dies the allocator may hand its address to an unrelated graph,
+// silently resurrecting a stale entry (the CsrDifferential suite hits
+// exactly this by evaluating hundreds of short-lived graphs through one
+// algorithm object).
 //
 // PerGraphCache instead keys on the graph's out-offsets array — stable under
 // Graph moves/copies, distinct per layer even when layers share one storage
@@ -33,7 +33,7 @@ class PerGraphCache {
   /// miss (or a stale hit). `build` returns std::unique_ptr<T>; nullptr
   /// means "infeasible" and is returned without being cached, so a later
   /// call may retry. Thread-safe; the returned pointer stays valid while
-  /// `g`'s storage is alive and this cache is not cleared.
+  /// `g`'s storage is alive and this cache is.
   template <typename BuildFn>
   const T* GetOrBuild(const Graph& g, BuildFn&& build) {
     const void* key = g.OutOffsets().data();
@@ -49,11 +49,6 @@ class PerGraphCache {
     e.storage = g.storage();
     e.value = std::move(value);
     return e.value.get();
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
   }
 
  private:

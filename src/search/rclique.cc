@@ -476,8 +476,4 @@ std::optional<Answer> RCliqueAlgorithm::VerifyCandidate(
   return a;
 }
 
-void RCliqueAlgorithm::ClearCache() const {
-  cache_.Clear();
-}
-
 }  // namespace bigindex

@@ -151,8 +151,6 @@ class RCliqueAlgorithm final : public KeywordSearchAlgorithm {
 
   const RCliqueOptions& options() const { return options_; }
 
-  void ClearCache() const;
-
  private:
   RCliqueOptions options_;
   mutable PerGraphCache<NeighborIndex> cache_;

@@ -35,7 +35,12 @@ bool WriteAll(int fd, const std::string& data) {
 
 TcpServer::TcpServer(QueryService* service, const LabelDictionary* dict,
                      TcpServerOptions options)
-    : service_(service), dict_(dict), options_(options) {}
+    : service_(service),
+      dict_(dict),
+      options_(options),
+      accept_retries_(MetricsRegistry::Global().GetCounter(
+          "bigindex_tcp_accept_retries_total",
+          "accept() retries after EMFILE, ENFILE or ECONNABORTED")) {}
 
 TcpServer::~TcpServer() { Stop(); }
 
@@ -82,6 +87,7 @@ void TcpServer::AcceptLoop() {
       if (errno == EMFILE || errno == ENFILE || errno == ECONNABORTED) {
         // Transient: the pending connection stays queued until finished
         // sessions release their fds (or the next one arrives).
+        accept_retries_.Inc();
         BIGINDEX_LOG_EVERY_N(kWarning, 100)
             << "accept on port " << port_ << ": " << std::strerror(errno)
             << "; retrying";

@@ -26,6 +26,7 @@
 #include <thread>
 
 #include "graph/label_dictionary.h"
+#include "obs/metrics.h"
 #include "server/query_service.h"
 #include "util/status.h"
 
@@ -81,6 +82,7 @@ class TcpServer {
   QueryService* service_;
   const LabelDictionary* dict_;
   TcpServerOptions options_;
+  Counter& accept_retries_;  // bigindex_tcp_accept_retries_total
   uint16_t port_ = 0;
 
   int listen_fd_ = -1;

@@ -120,12 +120,6 @@ std::shared_ptr<const ShardBoundary> ComputeShardBoundary(
   return boundary;
 }
 
-uint32_t BoundaryRegion::DistOfGlobal(VertexId global) const {
-  auto it = std::lower_bound(global_of.begin(), global_of.end(), global);
-  if (it == global_of.end() || *it != global) return kInfDistance;
-  return dist_to_cut[it - global_of.begin()];
-}
-
 StatusOr<BoundaryRegion> AssembleBoundaryRegion(
     std::span<const BoundaryExport> exports) {
   BoundaryRegion region;

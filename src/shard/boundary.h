@@ -71,9 +71,6 @@ struct BoundaryRegion {
   /// of radius rho is sound only when 2*rho <= radius_cap.
   uint32_t radius_cap = 0;
   bool has_cut = false;
-
-  /// dist_to_cut by global id; kInfDistance for vertices outside the region.
-  uint32_t DistOfGlobal(VertexId global) const;
 };
 
 /// Glues per-shard exports into the region. Empty/ghost-free exports

@@ -14,6 +14,10 @@ struct UpdaterMetrics {
   Counter& edges;
   Counter& swaps;
   Histogram& apply_ms;
+  Histogram& writer_wait_ms;
+  Histogram& maintain_ms;
+  Histogram& engine_build_ms;
+  Histogram& swap_ms;
 
   static UpdaterMetrics& Get() {
     static UpdaterMetrics m{
@@ -30,6 +34,14 @@ struct UpdaterMetrics {
             "bigindex_update_apply_ms",
             "Wall time of one LiveUpdater::Apply (maintain + engine + "
             "publish + swap), ms"),
+        MetricsRegistry::Global().GetHistogram(
+            "bigindex_update_writer_wait_ms", "Writer-mutex wait, ms"),
+        MetricsRegistry::Global().GetHistogram(
+            "bigindex_update_maintain_ms", "MaintainIndex wall time, ms"),
+        MetricsRegistry::Global().GetHistogram(
+            "bigindex_update_engine_build_ms", "Successor engine build, ms"),
+        MetricsRegistry::Global().GetHistogram(
+            "bigindex_update_swap_ms", "Publish + serving swap, ms"),
     };
     return m;
   }
@@ -70,12 +82,15 @@ StatusOr<UpdateOutcome> LiveUpdater::Apply(std::span<const GraphUpdate> updates,
   Timer timer;
 
   std::lock_guard<std::mutex> writer(write_mutex_);
+  metrics.writer_wait_ms.Record(timer.ElapsedMillis());
   std::shared_ptr<const IndexVersion> cur = versions_.Current();
 
   MaintainReport local_report;
   if (report == nullptr) report = &local_report;
+  Timer stage;
   auto successor = MaintainIndex(*cur->index, updates, options_.maintain,
                                  report, &maintain_state_);
+  metrics.maintain_ms.Record(stage.ElapsedMillis());
   if (!successor.ok()) return successor.status();
 
   UpdateOutcome outcome;
@@ -95,7 +110,10 @@ StatusOr<UpdateOutcome> LiveUpdater::Apply(std::span<const GraphUpdate> updates,
   outcome.mode = ModeOf(*report);
 
   auto index = std::make_shared<const BigIndex>(std::move(successor).value());
+  stage.Restart();
   std::shared_ptr<const QueryEngine> engine = BuildEngine(index);
+  metrics.engine_build_ms.Record(stage.ElapsedMillis());
+  stage.Restart();
   uint64_t sequence = versions_.Publish(std::move(index), engine);
   {
     TRACE_SPAN("update/swap");
@@ -103,6 +121,7 @@ StatusOr<UpdateOutcome> LiveUpdater::Apply(std::span<const GraphUpdate> updates,
     // layer BEFORE bumping the answer-cache epoch (see header contract).
     outcome.epoch = swap_ ? swap_(std::move(engine)) : sequence;
   }
+  metrics.swap_ms.Record(stage.ElapsedMillis());
   metrics.swaps.Inc();
   metrics.apply_ms.Record(timer.ElapsedMillis());
   return outcome;

@@ -84,8 +84,6 @@ class ZipfSampler {
     return lo;
   }
 
-  size_t domain_size() const { return cdf_.size(); }
-
  private:
   std::vector<double> cdf_;
 };

@@ -5,7 +5,6 @@
 #define BIGINDEX_UTIL_TIMER_H_
 
 #include <chrono>
-#include <cstdint>
 #include <limits>
 
 namespace bigindex {
@@ -23,10 +22,6 @@ class Timer {
   }
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
-  uint64_t ElapsedMicros() const {
-    return static_cast<uint64_t>(ElapsedSeconds() * 1e6);
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -71,6 +72,21 @@ class IndexImageFuzzTest : public ::testing::Test {
   static void ExpectRejected(std::string bytes, const char* what) {
     auto result = TryLoad(std::move(bytes));
     EXPECT_FALSE(result.ok()) << what << ": corrupt image was accepted";
+  }
+
+  /// The healthy image with header bytes [at, at + n) replaced by `bytes`
+  /// and the header checksum recomputed, so only the field's own validation
+  /// can reject it.
+  static std::string WithHeaderField(size_t at, const void* bytes, size_t n) {
+    std::string image = state_->image;
+    std::memcpy(image.data() + at, bytes, n);
+    uint64_t h = 1469598103934665603ull;  // FNV-1a over bytes [0, 56)
+    for (size_t i = 0; i < 56; ++i) {
+      h ^= static_cast<unsigned char>(image[i]);
+      h *= 1099511628211ull;
+    }
+    std::memcpy(image.data() + 56, &h, sizeof h);
+    return image;
   }
 
   struct State {
@@ -145,6 +161,51 @@ TEST_F(IndexImageFuzzTest, HeaderFieldCorruptionsAreRejected) {
 
   // Growing the file without updating the recorded size is also corruption.
   ExpectRejected(state_->image + "trailing garbage", "trailing bytes");
+}
+
+// Header bytes 40..55 record max_layers (u32), option flags (u32) and
+// stop_ratio (f64). Values no writer produces are Corruption even under a
+// valid header checksum.
+TEST_F(IndexImageFuzzTest, RecordedOptionCorruptionsAreRejected) {
+  uint32_t layers = 0;
+  std::memcpy(&layers, state_->image.data() + 28, sizeof layers);
+  ASSERT_GE(layers, 1u);
+  ASSERT_TRUE(TryLoad(WithHeaderField(40, state_->image.data() + 40, 16)).ok())
+      << "re-checksummed healthy header must load";
+
+  auto expect_corruption = [](std::string bytes, const char* what) {
+    auto result = TryLoad(std::move(bytes));
+    ASSERT_FALSE(result.ok()) << what << ": corrupt image was accepted";
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << what << ": " << result.status().ToString();
+  };
+  const uint32_t shallow = layers - 1;
+  expect_corruption(WithHeaderField(40, &shallow, 4),
+                    "max_layers below the layer count");
+  const uint32_t too_deep = IndexImageFormat::kMaxRecordedLayers + 1;
+  expect_corruption(WithHeaderField(40, &too_deep, 4), "max_layers above 64");
+  for (double ratio : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    expect_corruption(WithHeaderField(48, &ratio, 8), "non-finite stop_ratio");
+  }
+  const uint32_t unknown_flag = IndexImageFormat::kOptionsRecorded | 1u << 2;
+  expect_corruption(WithHeaderField(44, &unknown_flag, 4), "unknown flag bit");
+  const uint32_t unrecorded = 0;
+  expect_corruption(WithHeaderField(44, &unrecorded, 4),
+                    "options present without the recorded flag");
+}
+
+// An image written before options were recorded has zeros there and loads
+// with the default options.
+TEST_F(IndexImageFuzzTest, HeaderWithoutRecordedOptionsLoadsWithDefaults) {
+  const char zeros[16] = {};
+  auto loaded = TryLoad(WithHeaderField(40, zeros, sizeof zeros));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const BigIndexOptions defaults;
+  EXPECT_EQ(loaded->options().max_layers, defaults.max_layers);
+  EXPECT_EQ(loaded->options().stop_ratio, defaults.stop_ratio);
+  EXPECT_FALSE(loaded->options().use_greedy_config);
 }
 
 TEST_F(IndexImageFuzzTest, SectionTableCorruptionsAreRejected) {

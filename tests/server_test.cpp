@@ -33,6 +33,7 @@
 
 #include "core/big_index.h"
 #include "engine/query_engine.h"
+#include "obs/metrics.h"
 #include "search/bkws.h"
 #include "server/answer_cache.h"
 #include "server/line_protocol.h"
@@ -961,6 +962,64 @@ TEST(TcpServerTest, SequentialConnectionsBeyondFdLimitAreServed) {
           << "connection " << i;
     }
   }
+  server.Stop();
+}
+
+// accept() that runs out of fds backs off and retries, and each retry is
+// counted: with the fd limit just above what is open, a handful of held
+// connections leaves some queued, and bigindex_tcp_accept_retries_total
+// moves. Once fds are free again the queued connections are served.
+TEST(TcpServerTest, AcceptRetriesAreCounted) {
+  ServiceFixture fx;
+  SearchService service(fx.engine, {.max_linger_ms = 0});
+  TcpServer server(&service, nullptr, {.port = 0});
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << started.ToString();
+  }
+  Counter& retries = MetricsRegistry::Global().GetCounter(
+      "bigindex_tcp_accept_retries_total", "");
+  const uint64_t before = retries.value();
+
+  // Sockets are made before the limit drops; connect() needs no new fd.
+  std::vector<int> clients;
+  for (int i = 0; i < 8; ++i) {
+    clients.push_back(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_GE(clients.back(), 0);
+  }
+  int highest_fd = 0;
+  int open_fds = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest_fd = std::max(highest_fd,
+                          std::atoi(entry.path().filename().c_str()));
+    ++open_fds;
+  }
+  // Free fd numbers below the limit, the directory's own included.
+  const int free_fds = highest_fd + 2 - open_fds;
+  if (free_fds >= static_cast<int>(clients.size())) {
+    for (int fd : clients) ::close(fd);
+    GTEST_SKIP() << free_fds << " free fd numbers below the highest open fd";
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  {
+    FdLimitGuard limit(static_cast<rlim_t>(highest_fd + 2));
+    ASSERT_TRUE(limit.ok()) << "cannot lower RLIMIT_NOFILE";
+    for (int fd : clients) {
+      ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                          sizeof(addr)),
+                0);
+    }
+    for (int i = 0; i < 500 && retries.value() == before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_GT(retries.value(), before);
+  for (int fd : clients) ::close(fd);
+  EXPECT_EQ(PingOnce(server.port()), "OK pong\n.\n");
   server.Stop();
 }
 

@@ -21,6 +21,7 @@
 #include "core/index_image.h"
 #include "engine/query_engine.h"
 #include "graph/label_dictionary.h"
+#include "obs/metrics.h"
 #include "server/line_protocol.h"
 #include "server/search_service.h"
 #include "update/live_updater.h"
@@ -198,9 +199,22 @@ TEST(LiveUpdater, NoopBatchPublishesNothing) {
 
 TEST(LiveUpdater, SuccessorMatchesRebuildAndSwapInstallsIt) {
   UpdateFixture fx;
+  // An empty batch registers the updater's metrics; the swapped batch below
+  // then records one sample per update stage.
+  ASSERT_TRUE(fx.updater.Apply(std::vector<GraphUpdate>{}).ok());
+  std::vector<std::pair<Histogram*, uint64_t>> stages;
+  for (const char* name :
+       {"bigindex_update_writer_wait_ms", "bigindex_update_maintain_ms",
+        "bigindex_update_engine_build_ms", "bigindex_update_swap_ms"}) {
+    Histogram& h = MetricsRegistry::Global().GetHistogram(name, "");
+    stages.emplace_back(&h, h.count());
+  }
   auto outcome = fx.updater.Apply(std::vector<GraphUpdate>{Remove(1, 2)});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->applied, 1u);
+  for (const auto& [histogram, before] : stages) {
+    EXPECT_EQ(histogram->count(), before + 1);
+  }
 
   auto updated = ApplyUpdates(fx.index->base(),
                               std::vector<GraphUpdate>{Remove(1, 2)});

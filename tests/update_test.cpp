@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "core/big_index.h"
 #include "core/index_image.h"
 #include "graph/label_dictionary.h"
+#include "shard/shard_build.h"
 #include "testing/random_graph.h"
 #include "update/incremental.h"
 #include "update/maintain.h"
@@ -110,14 +112,26 @@ void ExpectSameBisim(const BisimResult& a, const BisimResult& b,
 // The index image written with a synthetic dictionary covering every label
 // slot the ontology can produce; byte equality of images is the strongest
 // equivalence the system defines.
-std::string Serialize(const BigIndex& index, size_t label_slots) {
+std::string Serialize(const BigIndex& index, size_t label_slots,
+                      const ShardImageInfo& shard = {}) {
   LabelDictionary dict;
   for (size_t i = 0; i < label_slots; ++i) {
     dict.Intern("t" + std::to_string(i));
   }
   std::ostringstream out;
-  EXPECT_TRUE(WriteIndexImage(index, dict, out).ok());
+  EXPECT_TRUE(WriteIndexImage(index, dict, shard, out).ok());
   return out.str();
+}
+
+// Loads an image written by Serialize.
+BigIndex LoadImage(std::string image, const Ontology& ontology,
+                   ShardImageInfo* shard = nullptr) {
+  LabelDictionary dict;
+  auto loaded = LoadIndexImageFromBuffer(
+      std::make_shared<const std::string>(std::move(image)), dict, &ontology,
+      {}, shard);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::move(loaded).value();
 }
 
 // ---------------------------------------------------------------------------
@@ -441,6 +455,127 @@ TEST(MaintainIndexTest, GreedyConfigFallsBackToFullRebuild) {
     const size_t slots = inst.ontology.LabelSlots();
     EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots));
   }
+}
+
+// ---------------------------------------------------------------------------
+// An image records the options its index was built with, so an index loaded
+// from one is maintained at its built depth rather than the default one.
+
+// An instance whose default build has more than 3 layers, so a depth-3 index
+// grown to the default depth shows in its layer count.
+RandomInstance MakeDeepInstance() {
+  RandomGraphOptions gopt;
+  gopt.seed = 5;
+  gopt.num_vertices = 160;
+  gopt.edge_density = 2.0;
+  gopt.num_labels = 12;
+  RandomOntologyOptions oopt;
+  oopt.num_leaves = gopt.num_labels;
+  oopt.height = 6;
+  oopt.seed = 6;
+  return MakeRandomInstance(gopt, oopt);
+}
+
+// A seeded single-edge toggle: removes an edge of `g` or adds a missing one.
+GraphUpdate Toggle(const Graph& g, Rng& rng) {
+  const auto edges = g.Edges();
+  if (!edges.empty() && rng.Bernoulli(0.5)) {
+    auto [u, v] = edges[rng.Uniform(edges.size())];
+    return Remove(u, v);
+  }
+  const auto u = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
+  const auto v = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
+  return g.HasEdge(u, v) ? Remove(u, v) : Add(u, v);
+}
+
+// Applies `steps` toggles to `current`, each successor round-tripped through
+// its image, and expects every successor's image to equal that of a
+// from-scratch build of the updated graph with `options`.
+void ExpectTogglesMatchRebuild(BigIndex current, const Ontology& ontology,
+                               const BigIndexOptions& options,
+                               const ShardImageInfo& shard, uint64_t seed,
+                               int steps) {
+  const size_t slots = ontology.LabelSlots();
+  Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const std::vector<GraphUpdate> batch = {Toggle(current.base(), rng)};
+    auto maintained = MaintainIndex(current, batch);
+    ASSERT_TRUE(maintained.ok()) << "step " << step;
+    auto updated_base = ApplyUpdates(current.base(), batch);
+    ASSERT_TRUE(updated_base.ok());
+    auto rebuilt = BigIndex::Build(*updated_base, &ontology, options);
+    ASSERT_TRUE(rebuilt.ok());
+    std::string image = Serialize(*maintained, slots, shard);
+    ASSERT_TRUE(image == Serialize(*rebuilt, slots, shard))
+        << "images differ at step " << step << ": maintained "
+        << maintained->NumLayers() << " layer(s), rebuilt "
+        << rebuilt->NumLayers();
+    current = LoadImage(std::move(image), ontology);
+  }
+}
+
+TEST(MaintainIndexTest, ImageRecordsBuildOptions) {
+  RandomInstance inst = MakeDeepInstance();
+  const size_t slots = inst.ontology.LabelSlots();
+  auto index = BigIndex::Build(inst.graph, &inst.ontology,
+                               {.max_layers = 3, .stop_ratio = 0.99});
+  ASSERT_TRUE(index.ok());
+  BigIndex loaded = LoadImage(Serialize(*index, slots), inst.ontology);
+  EXPECT_EQ(loaded.options().max_layers, 3u);
+  EXPECT_EQ(loaded.options().stop_ratio, 0.99);
+  EXPECT_FALSE(loaded.options().use_greedy_config);
+
+  auto greedy = BigIndex::Build(inst.graph, &inst.ontology,
+                                {.max_layers = 2, .use_greedy_config = true});
+  ASSERT_TRUE(greedy.ok());
+  loaded = LoadImage(Serialize(*greedy, slots), inst.ontology);
+  EXPECT_EQ(loaded.options().max_layers, 2u);
+  EXPECT_TRUE(loaded.options().use_greedy_config);
+}
+
+TEST(MaintainIndexTest, ImageLoadedIndexIsMaintainedAtItsBuiltDepth) {
+  RandomInstance inst = MakeDeepInstance();
+  auto deep = BigIndex::Build(inst.graph, &inst.ontology, {});
+  ASSERT_TRUE(deep.ok());
+  ASSERT_GT(deep->NumLayers(), 3u) << "instance too shallow for this test";
+  const BigIndexOptions options{.max_layers = 3};
+  auto index = BigIndex::Build(inst.graph, &inst.ontology, options);
+  ASSERT_TRUE(index.ok());
+  BigIndex loaded = LoadImage(
+      Serialize(*index, inst.ontology.LabelSlots()), inst.ontology);
+  ExpectTogglesMatchRebuild(std::move(loaded), inst.ontology, options, {},
+                            /*seed=*/42, /*steps=*/12);
+}
+
+TEST(MaintainIndexTest, ShardImageLoadedIndexIsMaintainedAtItsBuiltDepth) {
+  RandomInstance inst = MakeDeepInstance();
+  const BigIndexOptions options{.max_layers = 3};
+  auto sharded = BuildShardedIndex(
+      inst.graph, &inst.ontology,
+      {.plan = {.num_shards = 2, .mode = ShardMode::kBfsBlocks,
+                .bfs_block_size = 40},
+       .index = options});
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  bool deep_shard = false;
+  for (const BuiltShard& built : sharded->shards) {
+    auto deep = BigIndex::Build(built.index.base(), &inst.ontology, {});
+    ASSERT_TRUE(deep.ok());
+    deep_shard = deep_shard || deep->NumLayers() > 3;
+
+    ShardImageInfo shard;
+    BigIndex loaded =
+        LoadImage(Serialize(built.index, inst.ontology.LabelSlots(),
+                            built.shard),
+                  inst.ontology, &shard);
+    EXPECT_EQ(loaded.options().max_layers, 3u);
+    EXPECT_EQ(shard.shard_id, built.shard.shard_id);
+    EXPECT_EQ(shard.global_of, built.shard.global_of);
+    EXPECT_EQ(shard.ghosts, built.shard.ghosts);
+    ExpectTogglesMatchRebuild(std::move(loaded), inst.ontology, options,
+                              built.shard, /*seed=*/7 + shard.shard_id,
+                              /*steps=*/6);
+  }
+  EXPECT_TRUE(deep_shard) << "no shard deep enough for this test";
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 # ASan+UBSan pass over the index-image fuzz suite (the hostile-bytes path),
 # then a docs-link check, a metrics-overhead smoke, a
 # parallel-construction smoke, an index-image cold-start smoke, the shard
-# scatter-gather throughput gate, a maintenance differential smoke, and a
-# short serving-layer load smoke (with the mixed read/update phase).
+# scatter-gather throughput gate, a maintenance differential smoke, a
+# maintained-depth smoke on an image-loaded index, the maintenance speedup
+# gate, and a short serving-layer load smoke (with the mixed read/update
+# phase).
 #
 #   tools/ci.sh [jobs]
 #
@@ -95,6 +97,25 @@ echo "=== smoke: maintenance differential (incremental == wholesale == rebuild) 
 # One mixed update batch through all three maintenance paths; fails unless
 # the three index images are byte-identical.
 ./build/bench/bench_maintenance --smoke
+
+echo
+echo "=== smoke: an image-loaded index is maintained at its built depth ==="
+# Builds a 3-layer index image with the CLI, updates it with --check (the
+# successor's image bytes must equal a from-scratch rebuild's), and fails
+# unless the successor keeps the 3 layers the image records.
+depth_dir="$(mktemp -d)"
+trap 'rm -rf "$depth_dir"' EXIT
+./build/tools/bigindex_cli gen yago3 0.004 "$depth_dir/g.bin" \
+  "$depth_dir/o.bin" >/dev/null
+./build/tools/bigindex_cli build "$depth_dir/g.bin" "$depth_dir/o.bin" \
+  "$depth_dir/idx.img" 3 >/dev/null
+depth_out="$(./build/tools/bigindex_cli update "$depth_dir/g.bin" \
+  "$depth_dir/o.bin" "$depth_dir/idx.img" add:1:2 remove:0:1 --check)"
+echo "$depth_out" | tail -2
+if ! grep -q "maintained 3 -> 3 layer(s)" <<<"$depth_out"; then
+  echo "FAIL: the update did not keep the image's recorded depth of 3"
+  exit 1
+fi
 
 echo
 echo "=== gate: maintenance speedup (>= 2x at small batches) ==="
