@@ -1,12 +1,14 @@
 // Live-update maintenance cost: incremental (delta-propagating) refinement
-// vs forced-wholesale re-summarization vs a full from-scratch rebuild, as a
-// function of the dirty-set size (net edge changes per batch).
+// vs wholesale re-summarization (fallback_dirty_ratio = 0) vs a full
+// from-scratch rebuild, as a function of the dirty-set size (net edge
+// changes per batch).
 //
 // The paper (Sec. 3.2) adopts incremental bisimulation maintenance and
 // notes the index "can be recomputed occasionally"; the numbers to check
 // here are (a) how many layers stay on a fast path (patched or seeded
 // localized refinement, update/incremental.h) as the dirty set grows
-// (the fallback_dirty_ratio knob trips past the crossover), and (b) the
+// (the fallback_dirty_ratio knob trips past the crossover, and a wholesale
+// layer makes every layer above it wholesale), and (b) the
 // wall-clock speedup over a from-scratch rebuild — small batches avoid
 // every layer-sized re-derivation (delta patching, localized merge scan,
 // quotient-as-summary shortcut), so maintenance beats rebuild by 2x+
@@ -18,9 +20,10 @@
 //
 //   bench_maintenance [--smoke | --check]
 //
-// --smoke: tiny preset; one mixed batch through all three paths, exits
-// non-zero unless the three index images are byte-identical. Used by
-// tools/ci.sh.
+// --smoke: tiny preset; one mixed batch through all three paths (the
+// wholesale one at fallback_dirty_ratio = 0, which must report every layer
+// wholesale), exits non-zero unless the three index images are
+// byte-identical. Used by tools/ci.sh.
 //
 // --check: CI speedup gate. On the default preset, asserts incremental
 // maintenance beats the from-scratch rebuild by >= 2x for small batches
@@ -196,8 +199,16 @@ int RunSmoke() {
   MaintainReport report;
   BigIndex incremental =
       MustMaintain(*index, batch, MaintainOptions{}, &report);
-  BigIndex wholesale =
-      MustMaintain(*index, batch, {.force_wholesale = true});
+  MaintainReport wholesale_report;
+  BigIndex wholesale = MustMaintain(*index, batch, {.fallback_dirty_ratio = 0},
+                                    &wholesale_report);
+  if (FastLayers(wholesale_report) != 0) {
+    std::fprintf(stderr,
+                 "FAIL: fallback_dirty_ratio = 0 kept %zu/%zu layers off "
+                 "the wholesale path\n",
+                 FastLayers(wholesale_report), wholesale_report.layers.size());
+    return 1;
+  }
   auto updated = ApplyUpdates(ds->graph, batch);
   if (!updated.ok()) {
     std::fprintf(stderr, "%s\n", updated.status().ToString().c_str());
@@ -275,7 +286,7 @@ int main(int argc, char** argv) {
       MustMaintain(*index, batch, MaintainOptions{}, &report);
     });
     double whole_ms = MedianMs(3, [&] {
-      MustMaintain(*index, batch, {.force_wholesale = true});
+      MustMaintain(*index, batch, {.fallback_dirty_ratio = 0});
     });
     double rebuild_ms = MedianMs(3, [&] {
       auto updated = ApplyUpdates(ds->graph, batch);

@@ -23,9 +23,10 @@ int main() {
   for (int i = 0; i < 2000; ++i) {
     users.push_back(gb.AddVertex(dict.Intern("user_" + std::to_string(i))));
   }
+  // The three forum pages take consecutive ids from cpp_page on.
   VertexId cpp_page = gb.AddVertex(dict.Intern("cpp_forum"));
-  VertexId db_page = gb.AddVertex(dict.Intern("database_forum"));
-  VertexId ml_page = gb.AddVertex(dict.Intern("ml_forum"));
+  gb.AddVertex(dict.Intern("database_forum"));
+  gb.AddVertex(dict.Intern("ml_forum"));
   for (VertexId u : users) {
     gb.AddEdge(u, cpp_page + rng.Uniform(3));  // each user follows one forum
     if (rng.Bernoulli(0.2)) {                  // some follow a second one

@@ -335,9 +335,6 @@ StatusOr<BisimResult> IncrementalBisimulation(
   static Counter& runs = MetricsRegistry::Global().GetCounter(
       "bigindex_update_incremental_runs_total",
       "Incremental bisimulation invocations");
-  static Counter& fallbacks = MetricsRegistry::Global().GetCounter(
-      "bigindex_update_incremental_fallback_total",
-      "Incremental invocations that fell back to wholesale refinement");
   static Counter& resigned = MetricsRegistry::Global().GetCounter(
       "bigindex_update_resigned_vertices_total",
       "Vertex signatures recomputed by the localized split pass");
@@ -361,40 +358,23 @@ StatusOr<BisimResult> IncrementalBisimulation(
 
   const std::span<const LabelId> labels = options.labels;
 
-  if (static_cast<double>(dirty.size()) >
-      options.fallback_dirty_ratio * static_cast<double>(n)) {
-    st.fell_back = true;
-    fallbacks.Inc();
-    if (labels.empty()) return ComputeBisimulation(g, {.pool = options.pool});
-    // The wholesale pass needs a real graph carrying the override labels;
-    // building it through GraphBuilder matches Generalize() byte for byte.
-    GraphBuilder rb;
-    rb.Reserve(n, g.NumEdges());
-    for (VertexId v = 0; v < n; ++v) rb.AddVertex(labels[v]);
-    const CsrView gout = g.Out();
-    for (VertexId u = 0; u < n; ++u) {
-      const auto [s, e] = gout[u];
-      for (uint64_t i = s; i < e; ++i) rb.AddEdge(u, gout.Slot(i));
-    }
-    auto relabeled = rb.Build();
-    assert(relabeled.ok());
-    return ComputeBisimulation(*relabeled, {.pool = options.pool});
-  }
-
   // Densify the seed into block ids 0..B-1 (first-occurrence order; the
   // final renumber makes the choice here irrelevant to output) and build
-  // block -> members lists, members ascending. When the caller bounds the
-  // seed-id space (seed_id_bound) a flat table replaces the hash map.
+  // block -> members lists, members ascending.
+  VertexId max_seed = 0;
+  for (VertexId s : seed_partition) {
+    if (s == kInvalidVertex) {
+      return Status::InvalidArgument("seed id is kInvalidVertex");
+    }
+    max_seed = std::max(max_seed, s);
+  }
   RefineState rs;
   rs.block.resize(n);
   std::vector<VertexId> seed_value_of;
-  if (options.seed_id_bound > 0) {
-    std::vector<uint32_t> dense(options.seed_id_bound, kUnset32);
+  {
+    std::vector<uint32_t> dense(size_t{max_seed} + 1, kUnset32);
     for (VertexId v = 0; v < n; ++v) {
       const VertexId s = seed_partition[v];
-      if (s >= options.seed_id_bound) {
-        return Status::InvalidArgument("seed id >= seed_id_bound");
-      }
       uint32_t& d = dense[s];
       if (d == kUnset32) {
         d = static_cast<uint32_t>(rs.members_of.size());
@@ -403,19 +383,6 @@ StatusOr<BisimResult> IncrementalBisimulation(
       }
       rs.block[v] = d;
       rs.members_of[d].push_back(v);
-    }
-  } else {
-    std::unordered_map<VertexId, uint32_t> dense;
-    dense.reserve(n / 4 + 16);
-    for (VertexId v = 0; v < n; ++v) {
-      auto [it, inserted] = dense.try_emplace(
-          seed_partition[v], static_cast<uint32_t>(rs.members_of.size()));
-      if (inserted) {
-        rs.members_of.emplace_back();
-        seed_value_of.push_back(seed_partition[v]);
-      }
-      rs.block[v] = it->second;
-      rs.members_of[it->second].push_back(v);
     }
   }
   const size_t num_seeds = rs.members_of.size();
@@ -444,7 +411,7 @@ StatusOr<BisimResult> IncrementalBisimulation(
   // Phase 2 (merge): the split-stable partition P may still be finer than
   // maximal bisimulation (updates can *merge* blocks). P is stable and
   // label-uniform, so max-bisim(g) is the pullback of max-bisim(g/P):
-  // quotient, summarize the (summary-sized) quotient, compose.
+  // build the (summary-sized) quotient, find its merges, compose.
   std::vector<uint32_t> p1(n);
   std::vector<uint32_t> p1_origin;
   std::vector<uint32_t> p1_work;  // p1 block -> working block (members list)
@@ -496,111 +463,72 @@ StatusOr<BisimResult> IncrementalBisimulation(
     quotient = std::move(built).value();
   }
 
-  if (options.seed_maximal) {
-    // The seed came from a maximal bisimulation, so the old quotient was
-    // *reduced* (no two blocks bisimilar) and merge classes are confined to
-    // the backward closure of the changed quotient nodes: blocks holding a
-    // dirty vertex, plus every block descending from a fragmented seed.
-    std::vector<VertexId> qchanged;
-    {
-      const std::span<const VertexId> core =
-          options.merge_changed.empty() ? dirty : options.merge_changed;
-      std::vector<char> qflag(p1_blocks, 0);
-      for (VertexId v : core) {
-        if (v < n && !qflag[p1[v]]) {
-          qflag[p1[v]] = 1;
-          qchanged.push_back(p1[v]);
-        }
-      }
-      for (uint32_t b = 0; b < p1_blocks; ++b) {
-        if (rs.fragmented[p1_origin[b]] && !qflag[b]) {
-          qflag[b] = 1;
-          qchanged.push_back(b);
-        }
+  // The seed came from a maximal bisimulation, so the old quotient was
+  // *reduced* (no two blocks bisimilar) and merge classes are confined to
+  // the backward closure of the changed quotient nodes: blocks holding a
+  // dirty vertex, plus every block descending from a fragmented seed.
+  std::vector<VertexId> qchanged;
+  {
+    const std::span<const VertexId> core =
+        options.merge_changed.empty() ? dirty : options.merge_changed;
+    std::vector<char> qflag(p1_blocks, 0);
+    for (VertexId v : core) {
+      if (v < n && !qflag[p1[v]]) {
+        qflag[p1[v]] = 1;
+        qchanged.push_back(p1[v]);
       }
     }
-    MergeScan scan = DetectMerges(quotient, qchanged,
-                                  kMergeScanFallbackRatio, options.pool);
-    st.merge_active = scan.active;
-    st.merge_localized = scan.localized;
-
-    if (scan.num_classes == p1_blocks) {
-      // Discrete: P1 is the maximal bisimulation. `quotient` was built by
-      // the exact builder-call sequence MaterializePartition would issue
-      // for this partition (p1 is already in first-occurrence order), so it
-      // IS the byte-identical summary — no second full-graph pass.
-      BisimResult result;
-      result.refinement_rounds = rounds + scan.rounds;
-      result.mapping = BisimMapping(p1, p1_blocks);
-      result.summary = std::move(quotient);
-      if (trace != nullptr) {
-        trace->seed_of_final.assign(p1_blocks, kInvalidVertex);
-        trace->intact.assign(p1_blocks, 0);
-        for (uint32_t b = 0; b < p1_blocks; ++b) {
-          const uint32_t origin = p1_origin[b];
-          trace->seed_of_final[b] = seed_value_of[origin];
-          trace->intact[b] = !rs.fragmented[origin];
-        }
+    for (uint32_t b = 0; b < p1_blocks; ++b) {
+      if (rs.fragmented[p1_origin[b]] && !qflag[b]) {
+        qflag[b] = 1;
+        qchanged.push_back(b);
       }
-      return result;
     }
+  }
+  MergeScan scan = DetectMerges(quotient, qchanged,
+                                kMergeScanFallbackRatio, options.pool);
+  st.merge_active = scan.active;
+  st.merge_localized = scan.localized;
 
-    // Blocks merged (rare): compose and materialize as usual.
-    std::vector<uint32_t> final_block(n);
-    for (VertexId v = 0; v < n; ++v) final_block[v] = scan.block_of[p1[v]];
-    std::vector<uint32_t> merged_to_final;
-    BisimResult result = MaterializePartition(
-        g, labels, std::move(final_block), scan.num_classes,
-        rounds + scan.rounds, trace != nullptr ? &merged_to_final : nullptr);
-
+  if (scan.num_classes == p1_blocks) {
+    // Discrete: P1 is the maximal bisimulation. `quotient` was built by
+    // the exact builder-call sequence MaterializePartition would issue
+    // for this partition (p1 is already in first-occurrence order), so it
+    // IS the byte-identical summary — no second full-graph pass.
+    BisimResult result;
+    result.refinement_rounds = rounds + scan.rounds;
+    result.mapping = BisimMapping(p1, p1_blocks);
+    result.summary = std::move(quotient);
     if (trace != nullptr) {
-      std::vector<std::vector<uint32_t>> cls(scan.num_classes);
+      trace->seed_of_final.assign(p1_blocks, kInvalidVertex);
+      trace->intact.assign(p1_blocks, 0);
       for (uint32_t b = 0; b < p1_blocks; ++b) {
-        cls[scan.block_of[b]].push_back(b);
-      }
-      const size_t num_final = result.mapping.NumSupernodes();
-      trace->seed_of_final.assign(num_final, kInvalidVertex);
-      trace->intact.assign(num_final, 0);
-      for (uint32_t f = 0; f < scan.num_classes; ++f) {
-        const std::vector<uint32_t>& p1s = cls[f];
-        const uint32_t origin = p1_origin[p1s[0]];
-        bool single_origin = true;
-        for (size_t j = 1; j < p1s.size() && single_origin; ++j) {
-          single_origin = p1_origin[p1s[j]] == origin;
-        }
-        if (!single_origin) continue;  // mixed: stays kInvalidVertex
-        const uint32_t t = merged_to_final[f];
-        trace->seed_of_final[t] = seed_value_of[origin];
-        // Intact = the seed never split and nothing merged in: the final
-        // block's member set is exactly the seed block's member set. Two
-        // fragments of one seed re-merging in phase 2 is conservatively
-        // non-intact (members may still differ from the seed's).
-        trace->intact[t] = p1s.size() == 1 && !rs.fragmented[origin];
+        const uint32_t origin = p1_origin[b];
+        trace->seed_of_final[b] = seed_value_of[origin];
+        trace->intact[b] = !rs.fragmented[origin];
       }
     }
     return result;
   }
 
-  // General seed (no reduced-predecessor promise): merge via a full
-  // summarization of the quotient.
-  BisimResult merged = ComputeBisimulation(quotient, {.pool = options.pool});
-
+  // Blocks merged (rare): compose and materialize as usual.
   std::vector<uint32_t> final_block(n);
-  for (VertexId v = 0; v < n; ++v) {
-    final_block[v] = merged.mapping.SuperOf(p1[v]);
-  }
+  for (VertexId v = 0; v < n; ++v) final_block[v] = scan.block_of[p1[v]];
   std::vector<uint32_t> merged_to_final;
   BisimResult result = MaterializePartition(
-      g, labels, std::move(final_block), merged.mapping.NumSupernodes(),
-      rounds + merged.refinement_rounds,
-      trace != nullptr ? &merged_to_final : nullptr);
+      g, labels, std::move(final_block), scan.num_classes,
+      rounds + scan.rounds, trace != nullptr ? &merged_to_final : nullptr);
 
   if (trace != nullptr) {
+    std::vector<std::vector<uint32_t>> cls(scan.num_classes);
+    for (uint32_t b = 0; b < p1_blocks; ++b) {
+      cls[scan.block_of[b]].push_back(b);
+    }
     const size_t num_final = result.mapping.NumSupernodes();
     trace->seed_of_final.assign(num_final, kInvalidVertex);
     trace->intact.assign(num_final, 0);
-    for (VertexId f = 0; f < merged.mapping.NumSupernodes(); ++f) {
-      const auto p1s = merged.mapping.Members(f);  // phase-1 block ids
+    for (uint32_t f = 0; f < scan.num_classes; ++f) {
+      const std::vector<uint32_t>& p1s = cls[f];
       const uint32_t origin = p1_origin[p1s[0]];
       bool single_origin = true;
       for (size_t j = 1; j < p1s.size() && single_origin; ++j) {
@@ -609,6 +537,10 @@ StatusOr<BisimResult> IncrementalBisimulation(
       if (!single_origin) continue;  // mixed: stays kInvalidVertex
       const uint32_t t = merged_to_final[f];
       trace->seed_of_final[t] = seed_value_of[origin];
+      // Intact = the seed never split and nothing merged in: the final
+      // block's member set is exactly the seed block's member set. Two
+      // fragments of one seed re-merging in phase 2 is conservatively
+      // non-intact (members may still differ from the seed's).
       trace->intact[t] = p1s.size() == 1 && !rs.fragmented[origin];
     }
   }

@@ -19,11 +19,12 @@
 //   distinct blocks bisimilar, which splitting alone can never undo. Since
 //   the phase-1 partition P is stable and label-uniform, max-bisim(G) is
 //   exactly the pullback of max-bisim(G/P): we materialize the quotient
-//   graph (summary-sized) and summarize it. Under the seed_maximal promise
-//   the old quotient was *reduced*, so the merge step runs as a localized
-//   scan over the backward closure of the changed blocks (DetectMerges)
-//   and — in the common no-merge case — the quotient graph is returned as
-//   the summary directly, skipping the final full-graph materialization.
+//   graph (summary-sized) and find its merges. The seed comes from a
+//   maximal bisimulation, so the old quotient was *reduced* and the merge
+//   step runs as a localized scan over the backward closure of the changed
+//   blocks (DetectMerges); in the common no-merge case the quotient graph is
+//   returned as the summary directly, skipping the final full-graph
+//   materialization.
 //
 // The composed partition is renumbered in first-occurrence order over the
 // vertex scan and the summary is materialized exactly as
@@ -32,9 +33,9 @@
 // graph — the differential harness in tests/update_differential_test.cpp
 // holds this to serialized-image equality over random update streams.
 //
-// When the dirty set exceeds IncrementalBisimOptions::fallback_dirty_ratio
-// of the graph, the localized pass would touch most blocks anyway and the
-// function falls back to wholesale ComputeBisimulation (still exact).
+// Deciding when a dirty set is too large to localize is the caller's job
+// (MaintainOptions::fallback_dirty_ratio in update/maintain.h); this
+// function always runs the localized split pass.
 
 #ifndef BIGINDEX_UPDATE_INCREMENTAL_H_
 #define BIGINDEX_UPDATE_INCREMENTAL_H_
@@ -53,12 +54,8 @@ class ExecutorPool;
 
 /// Options for IncrementalBisimulation.
 struct IncrementalBisimOptions {
-  /// When |dirty| > fallback_dirty_ratio * |V|, skip the localized pass and
-  /// recompute wholesale. 0 forces wholesale; >= 1 never falls back.
-  double fallback_dirty_ratio = 0.5;
-
-  /// Worker pool forwarded to wholesale/quotient ComputeBisimulation calls
-  /// (the localized split pass itself is serial — its work set is small by
+  /// Worker pool forwarded to the merge scan's wholesale fallback (the
+  /// localized split pass itself is serial — its work set is small by
   /// construction). Output is byte-identical for every pool size.
   ExecutorPool* pool = nullptr;
 
@@ -69,26 +66,8 @@ struct IncrementalBisimOptions {
   /// is byte-identical to running on Generalize(g, config)).
   std::span<const LabelId> labels;
 
-  /// Exclusive upper bound on seed_partition values, when the caller knows
-  /// one (maintenance does: old supernode ids plus fresh orphan ids). Lets
-  /// seed densification use a flat table instead of a hash map. 0 = unknown.
-  size_t seed_id_bound = 0;
-
-  /// Caller's promise that (a) the seed partition restricted to non-dirty
-  /// vertices is transported from the MAXIMAL bisimulation of a predecessor
-  /// graph — whose quotient is therefore reduced: no two of its blocks are
-  /// bisimilar — and (b) `dirty` covers every vertex whose seed block's
-  /// quotient-level behavior (label, membership, or block-level out-edges)
-  /// differs from that predecessor's. Enables the localized merge scan
-  /// (DetectMerges) in place of a full quotient re-summarization, and lets
-  /// the no-merge case return the quotient graph as the summary without a
-  /// second full-graph pass. Output is byte-identical either way; a false
-  /// promise can yield a partition coarser than maximal bisimulation.
-  bool seed_maximal = false;
-
-  /// Optional tighter changed set for the merge scan (seed_maximal only):
-  /// vertices whose own adjacency, label, or block membership genuinely
-  /// changed — as opposed to `dirty`, which also carries renaming-only
+  /// Optional tighter changed set for the merge scan: vertices whose own
+  /// adjacency, label, or block membership genuinely changed — as opposed to `dirty`, which also carries renaming-only
   /// vertices (out-neighbors moved to renumbered blocks) that phase 1 must
   /// re-sign but whose quotient-level behavior is unchanged up to the
   /// correspondence. Renaming-only blocks always have a quotient edge into
@@ -97,10 +76,9 @@ struct IncrementalBisimOptions {
   std::span<const VertexId> merge_changed;
 };
 
-/// Provenance of each final block relative to the seed partition, filled on
-/// the localized (non-fallback) path. Lets the caller derive the next
-/// layer's vertex correspondence in O(#blocks) instead of re-matching member
-/// sets with a whole-graph scan.
+/// Provenance of each final block relative to the seed partition. Lets the
+/// caller derive the next layer's vertex correspondence in O(#blocks)
+/// instead of re-matching member sets with a whole-graph scan.
 struct IncrementalBisimTrace {
   /// final block id -> the seed id (the caller's original seed_partition
   /// value) every member descends from; kInvalidVertex when members of
@@ -128,12 +106,11 @@ BisimResult MaterializePartition(const Graph& g, std::span<const LabelId> labels
 
 /// Diagnostics from one IncrementalBisimulation call.
 struct IncrementalBisimStats {
-  bool fell_back = false;       // used wholesale ComputeBisimulation
   size_t dirty_seed = 0;        // dirty vertices handed in by the caller
   size_t split_rounds = 0;      // phase-1 worklist rounds
   size_t vertices_resigned = 0; // signature recomputations in phase 1
   size_t quotient_vertices = 0; // |P1| fed to the phase-2 merge
-  size_t merge_active = 0;      // merge-scan working set (seed_maximal only)
+  size_t merge_active = 0;      // merge-scan working set
   bool merge_localized = false; // merge scan stayed delta-local
 };
 
@@ -151,7 +128,7 @@ struct MergeScan {
 /// summary-sized quotient and its localized split pass is linear in the
 /// active region, so it stays cheaper than wholesale re-summarization until
 /// the active set covers most of the quotient — a far higher bar than the
-/// vertex-level fallback_dirty_ratio, which guards O(V+E) passes.
+/// vertex-level MaintainOptions::fallback_dirty_ratio.
 inline constexpr double kMergeScanFallbackRatio = 0.75;
 
 /// Maximal bisimulation of `q`, computed delta-locally. Precondition: `q` is
@@ -177,23 +154,31 @@ MergeScan DetectMerges(const Graph& q, std::span<const VertexId> changed,
 /// previous partition.
 ///
 /// `seed_partition` has one entry per vertex of `g`; block ids may be
-/// arbitrary (they are densified internally). `dirty` lists vertices whose
-/// signature the seed's stability no longer vouches for.
+/// arbitrary values other than kInvalidVertex (they are densified through a
+/// table sized by the largest id). `dirty` lists vertices whose signature
+/// the seed's stability no longer vouches for.
 ///
-/// Precondition (the caller's obligation; maintain.cc derives it from the
-/// layer correspondence): for any two vertices u, v in the same seed block
-/// with NEITHER listed in `dirty`, u and v carry the same label and the
-/// same set of seed blocks over their out-neighbors. Dirty closure under
-/// refinement is handled internally. Violating the precondition can yield a
-/// partition coarser than maximal bisimulation; it is not checked at
-/// runtime — the differential tests guard it.
+/// Preconditions (the caller's obligation; maintain.cc derives them from
+/// the layer correspondence):
+///   * for any two vertices u, v in the same seed block with NEITHER listed
+///     in `dirty`, u and v carry the same label and the same set of seed
+///     blocks over their out-neighbors (dirty closure under refinement is
+///     handled internally);
+///   * the seed restricted to non-dirty vertices is transported from the
+///     MAXIMAL bisimulation of a predecessor graph — whose quotient is
+///     therefore reduced: no two of its blocks are bisimilar — and `dirty`
+///     (or `merge_changed`, when given) covers every vertex whose seed
+///     block's quotient-level behavior (label, membership, or block-level
+///     out-edges) differs from that predecessor's. This is what confines
+///     merges to the localized scan.
+/// Violating either can yield a partition coarser than maximal
+/// bisimulation; neither is checked at runtime — the differential tests
+/// guard them.
 ///
 /// Returns a BisimResult byte-identical to ComputeBisimulation(g) with
 /// default options (refinement_rounds is diagnostics-only and differs).
 ///
-/// `trace`, when non-null, is filled with per-final-block seed provenance on
-/// the localized path and left empty on the wholesale fallback (check
-/// stats->fell_back).
+/// `trace`, when non-null, is filled with per-final-block seed provenance.
 StatusOr<BisimResult> IncrementalBisimulation(
     const Graph& g, std::span<const VertexId> seed_partition,
     std::span<const VertexId> dirty,

@@ -88,8 +88,8 @@ StatusOr<UpdateOutcome> LiveUpdater::Apply(std::span<const GraphUpdate> updates,
   MaintainReport local_report;
   if (report == nullptr) report = &local_report;
   Timer stage;
-  auto successor = MaintainIndex(*cur->index, updates, options_.maintain,
-                                 report, &maintain_state_);
+  auto successor =
+      MaintainIndex(*cur->index, updates, options_.maintain, report);
   metrics.maintain_ms.Record(stage.ElapsedMillis());
   if (!successor.ok()) return successor.status();
 

@@ -96,10 +96,6 @@ class LiveUpdater {
   IndexVersionStore versions_;
   LiveUpdaterOptions options_;
   SwapFn swap_;
-  /// Carried across Apply calls (guarded by write_mutex_); safe across
-  /// Rollback — every cached entry is revalidated against the index it is
-  /// used with (see MaintenanceState).
-  MaintenanceState maintain_state_;
 };
 
 }  // namespace bigindex

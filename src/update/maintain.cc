@@ -48,13 +48,12 @@ struct Correspondence {
 // correspondence is always present (possibly unusable); the exact edge
 // delta survives only while the partition above stays identity-matched, and
 // the changed set (a sound superset of vertices whose generalized label or
-// mapped out-neighborhood drifted) survives until a wholesale layer erases
-// provenance.
+// mapped out-neighborhood drifted) lives exactly as long as the
+// correspondence does — a wholesale layer erases both.
 struct LevelLink {
   Correspondence corr;
   bool have_delta = false;
   UpdateDelta delta;
-  bool have_changed = false;
   std::vector<VertexId> changed;  // sorted, unique, new-graph vertex ids
   // Subset of `changed` whose quotient-level behavior genuinely differs
   // from the old layer (adjacency / membership / label) — excludes the
@@ -72,31 +71,30 @@ size_t CountMode(const MaintainReport& rep, LayerMaintenance mode) {
 }
 
 // label -> generalized-label table covering `slots` label ids (identity for
-// unmapped labels). Cached per layer in `state` across batches — edge-only
-// updates cannot change a layer's label set, so the table is usually
-// reusable verbatim; validity is re-checked against the config either way.
-const std::vector<LabelId>* GetGenTable(const GeneralizationConfig& config,
-                                        size_t slots, size_t layer,
-                                        MaintenanceState* state,
-                                        std::vector<LabelId>* scratch) {
-  MaintenanceState::LayerCache* cache = nullptr;
-  if (state != nullptr) {
-    if (state->layers.size() < layer) state->layers.resize(layer);
-    cache = &state->layers[layer - 1];
-    if (cache->gen_table.size() == slots &&
-        cache->config == config.mappings()) {
-      ++state->table_hits;
-      return &cache->gen_table;
-    }
-  }
-  std::vector<LabelId>& table = cache != nullptr ? cache->gen_table : *scratch;
-  table.resize(slots);
+// unmapped labels); O(#label slots), so it is rebuilt per layer.
+std::vector<LabelId> GenTable(const GeneralizationConfig& config,
+                              size_t slots) {
+  std::vector<LabelId> table(slots);
   for (size_t l = 0; l < slots; ++l) table[l] = static_cast<LabelId>(l);
   for (const LabelMapping& m : config.mappings()) {
     if (m.from < slots) table[m.from] = m.to;
   }
-  if (cache != nullptr) cache->config = config.mappings();
-  return &table;
+  return table;
+}
+
+// Per-vertex labels of Gen(g, config) through `gen_table`; empty when the
+// config maps nothing, which the refinement and materialization read as
+// "use g's own labels".
+std::vector<LabelId> GeneralizedLabels(const Graph& g,
+                                       const GeneralizationConfig& config,
+                                       const std::vector<LabelId>& gen_table) {
+  std::vector<LabelId> labels;
+  if (config.empty()) return labels;
+  labels.resize(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    labels[v] = gen_table[g.label(v)];
+  }
+  return labels;
 }
 
 // No-split probe for the patched fast path: true iff every block containing
@@ -147,6 +145,113 @@ std::vector<VertexId> SortedUniqueSources(const UpdateDelta& delta) {
   return out;
 }
 
+// The old layer's partition transported into a seed for the new layer graph
+// (n vertices), plus the vertices the seed's stability no longer vouches for.
+struct TransportedSeed {
+  std::vector<VertexId> seed;   // new vertex -> old supernode or fresh id
+  std::vector<VertexId> dirty;  // propagated changed set + orphans
+  // Subset of dirty-or-lost-block vertices whose quotient-level behavior
+  // genuinely differs from the old layer: propagated core, orphans, and
+  // survivors of lost-member blocks. The renaming-only vertices the
+  // in-neighbor rule adds to `changed` stay out: the merge scan's backward
+  // closure recovers them through their edge into a core block.
+  std::vector<VertexId> core;
+};
+
+// Seed ids are old supernode ids (< old_num) plus at most n fresh ids for
+// orphans, new vertices without an old counterpart.
+TransportedSeed TransportSeed(const LevelLink& link,
+                              const BisimMapping& old_map, size_t old_num,
+                              size_t n) {
+  const Correspondence& corr = link.corr;
+  TransportedSeed out;
+  out.seed.resize(n);
+  VertexId fresh = static_cast<VertexId>(old_num);
+  // Lost-member rule: an old vertex with no new counterpart silently
+  // changes its old block's quotient behavior (the survivors' own
+  // signatures are untouched, so nothing else dirties them). Splits never
+  // need this — survivors stay signature-uniform — but the localized merge
+  // scan does: the whole block must enter its working set, so every
+  // surviving member goes into the merge core.
+  std::vector<char> lost(old_num, 0);
+  bool any_lost = false;
+  for (VertexId s = 0; s < corr.to_new.size(); ++s) {
+    if (corr.to_new[s] == kInvalidVertex) {
+      lost[old_map.SuperOf(s)] = 1;
+      any_lost = true;
+    }
+  }
+  std::vector<char> dflag(n, 0);
+  std::vector<char> kflag(n, 0);
+  for (VertexId x : link.changed) {
+    if (!dflag[x]) {
+      dflag[x] = 1;
+      out.dirty.push_back(x);
+    }
+  }
+  for (VertexId x : link.core) {
+    if (!kflag[x]) {
+      kflag[x] = 1;
+      out.core.push_back(x);
+    }
+  }
+  for (VertexId x = 0; x < n; ++x) {
+    const VertexId s =
+        x < corr.to_old.size() ? corr.to_old[x] : kInvalidVertex;
+    if (s == kInvalidVertex) {
+      out.seed[x] = fresh++;
+      if (!dflag[x]) {
+        dflag[x] = 1;
+        out.dirty.push_back(x);
+      }
+      if (!kflag[x]) {
+        kflag[x] = 1;
+        out.core.push_back(x);
+      }
+      continue;
+    }
+    out.seed[x] = old_map.SuperOf(s);
+    // Lost-block survivors only feed the merge scan — their own signatures
+    // are unchanged, so phase 1 need not re-sign them.
+    if (any_lost && lost[out.seed[x]] && !kflag[x]) {
+      kflag[x] = 1;
+      out.core.push_back(x);
+    }
+  }
+  return out;
+}
+
+// The next layer's changed and core sets (LevelLink), from this layer's
+// result, its new -> old block correspondence and the dirty and core vertex
+// sets it was refined from. Changed: blocks without a counterpart, their
+// summary in-neighbors (whose mapped out-neighborhood now refers to a
+// vanished block), and blocks holding a dirty member. Core: blocks without
+// a counterpart and blocks holding a core member — it leaves out the
+// in-neighbor widening, since those blocks changed only up to renaming and
+// the merge scan's backward closure recovers them through their edge into
+// a core block.
+void NextChangedSets(const BisimResult& bisim,
+                     std::span<const VertexId> to_old,
+                     std::span<const VertexId> dirty,
+                     std::span<const VertexId> core,
+                     std::vector<VertexId>* next_changed,
+                     std::vector<VertexId>* next_core) {
+  const size_t num_final = bisim.summary.NumVertices();
+  std::vector<char> cflag(num_final, 0);
+  std::vector<char> kflag(num_final, 0);
+  for (VertexId t = 0; t < num_final; ++t) {
+    if (to_old[t] != kInvalidVertex) continue;
+    cflag[t] = kflag[t] = 1;
+    for (VertexId u : bisim.summary.InNeighbors(t)) cflag[u] = 1;
+  }
+  for (VertexId x : dirty) cflag[bisim.mapping.SuperOf(x)] = 1;
+  for (VertexId x : core) kflag[bisim.mapping.SuperOf(x)] = 1;
+  for (VertexId t = 0; t < num_final; ++t) {
+    if (cflag[t]) next_changed->push_back(t);
+    if (kflag[t]) next_core->push_back(t);
+  }
+}
+
 }  // namespace
 
 size_t MaintainReport::LayersRebuilt() const {
@@ -160,8 +265,7 @@ size_t MaintainReport::LayersRebuilt() const {
 StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
                                  std::span<const GraphUpdate> updates,
                                  const MaintainOptions& options,
-                                 MaintainReport* report,
-                                 MaintenanceState* state) {
+                                 MaintainReport* report) {
   TRACE_SPAN("update/maintain");
   static Counter& layers_maintained = MetricsRegistry::Global().GetCounter(
       "bigindex_update_maintained_layers_total",
@@ -181,7 +285,6 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
   if (!delta.ok()) return delta.status();
   rep.delta = std::move(*delta);
   if (rep.delta.empty()) return index;  // shallow copy; nothing to do
-  if (state != nullptr) ++state->batches;
 
   Graph new_base = ApplyDelta(index.base(), rep.delta);
   const Ontology* ontology = &index.ontology();
@@ -212,24 +315,22 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
   link.corr = Correspondence::Identity(new_base.NumVertices());
   link.have_delta = true;
   link.delta = rep.delta;
-  link.have_changed = true;
   link.changed = SortedUniqueSources(rep.delta);
   link.core = link.changed;  // at the base every changed vertex is genuine
 
-  std::vector<LabelId> table_scratch;
   const Graph* cur_new = &new_base;
   for (size_t i = 1; i <= opts.max_layers; ++i) {
     TRACE_SPAN("update/layer");
     const bool have_old_layer = i <= index.NumLayers();
     const Graph& old_below = index.LayerGraph(i - 1);
-    Correspondence& corr = link.corr;
+    const Correspondence& corr = link.corr;
 
     // Strongest case: the layer below is unchanged, vertex-for-vertex. Build
     // is a deterministic function of (layer graph, ontology, options), so
     // the old stack from here up — including its stopping point — is exactly
     // what a from-scratch rebuild would produce. With an exact propagated
     // delta the test is O(1); the O(V+E) graph comparison only backs up the
-    // delta-less (post-wholesale) case.
+    // delta-less case after a seeded layer.
     if (corr.IsTotalIdentity() &&
         ((link.have_delta && link.delta.empty()) ||
          (!link.have_delta && GraphsIdentical(*cur_new, old_below)))) {
@@ -266,17 +367,24 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
     }
 
     const size_t n = cur_new->NumVertices();
-    const bool incremental_eligible =
-        !options.force_wholesale && config_matches && corr.usable;
+    // Past this many dirty vertices the localized passes would touch most
+    // blocks; the layer goes wholesale (Tier 3), which yields the same bytes.
+    const double dirty_bound =
+        options.fallback_dirty_ratio * static_cast<double>(n);
+    const bool incremental_eligible = config_matches && corr.usable;
+    std::vector<LabelId> gen_table;
+    if (incremental_eligible) {
+      Timer t_gen;
+      gen_table = GenTable(config, cur_new->LabelSlots());
+      lrep.generalize_ms += t_gen.ElapsedMillis();
+    }
 
     BisimResult bisim;
     Correspondence next;
     bool next_have_delta = false;
     UpdateDelta next_delta;
-    bool next_have_changed = false;
     std::vector<VertexId> next_changed;
     std::vector<VertexId> next_core;
-    bool need_legacy_corr = false;
     bool done = false;
 
     // Tier 1 — patched: the layer below changed by an exact, identity-mapped
@@ -286,21 +394,15 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
     // the old summary patched by the projected block-level delta, and the
     // mapping carries over verbatim — nothing layer-sized is rebuilt.
     if (incremental_eligible && link.have_delta && corr.IsTotalIdentity() &&
-        static_cast<double>(link.changed.size()) <=
-            options.fallback_dirty_ratio * static_cast<double>(n)) {
+        static_cast<double>(link.changed.size()) <= dirty_bound) {
       TRACE_SPAN("update/patch_attempt");
       const IndexLayer& old_layer = index.Layer(i);
       const std::span<const VertexId> seed = old_layer.mapping.VertexToSuper();
       const std::vector<VertexId>& dirty = link.changed;
 
-      Timer t_gen;
-      const std::vector<LabelId>* table = GetGenTable(
-          config, cur_new->LabelSlots(), i, state, &table_scratch);
-      lrep.generalize_ms += t_gen.ElapsedMillis();
-
       Timer t_ref;
       if (PartitionSurvivesDelta(*cur_new, seed, old_layer.mapping, dirty,
-                                 *table)) {
+                                 gen_table)) {
         UpdateDelta sdelta = ProjectDeltaToSummary(*cur_new, seed,
                                                    old_layer.graph, link.delta);
         Graph patched = sdelta.empty() ? old_layer.graph
@@ -330,11 +432,9 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
           bisim.mapping = old_layer.mapping;
           bisim.refinement_rounds = merged.rounds;
           lrep.mode = LayerMaintenance::kPatched;
-          if (state != nullptr) ++state->patched_layers;
 
           Timer t_corr;
           next = Correspondence::Identity(bisim.summary.NumVertices());
-          next_have_changed = true;
           next_changed = SortedUniqueSources(sdelta);
           next_core = next_changed;  // sdelta sources: all genuine
           next_have_delta = true;
@@ -344,15 +444,8 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
           // Blocks merged (splits are ruled out by the probe). Compose
           // seed ∘ merged and materialize; an old supernode survives iff
           // its merge class is a singleton.
-          std::span<const LabelId> glabels = cur_new->labels();
-          std::vector<LabelId> glabels_storage;
-          if (!config.empty()) {
-            glabels_storage.resize(n);
-            for (VertexId v = 0; v < n; ++v) {
-              glabels_storage[v] = (*table)[cur_new->label(v)];
-            }
-            glabels = glabels_storage;
-          }
+          const std::vector<LabelId> glabels =
+              GeneralizedLabels(*cur_new, config, gen_table);
           std::vector<uint32_t> composed(n);
           for (VertexId v = 0; v < n; ++v) {
             composed[v] = merged.block_of[seed[v]];
@@ -375,31 +468,8 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
             next.to_new[s2] = old_to_final[f];
             next.to_old[old_to_final[f]] = s2;
           }
-          // Changed set for the next layer: blocks without a counterpart,
-          // their summary in-neighbors (whose mapped out-neighborhood now
-          // refers to a vanished block), and blocks holding a dirty member.
-          // Core excludes the in-neighbor widening: those blocks' behavior
-          // only changed up to renaming, and the merge scan's backward
-          // closure recovers them through their edge into a core block.
-          const size_t num_final = bisim.summary.NumVertices();
-          std::vector<char> cflag(num_final, 0);
-          std::vector<char> kflag(num_final, 0);
-          for (VertexId t2 = 0; t2 < num_final; ++t2) {
-            if (next.to_old[t2] == kInvalidVertex) cflag[t2] = kflag[t2] = 1;
-          }
-          for (VertexId t2 = 0; t2 < num_final; ++t2) {
-            if (next.to_old[t2] != kInvalidVertex) continue;
-            for (VertexId u : bisim.summary.InNeighbors(t2)) cflag[u] = 1;
-          }
-          for (VertexId x : dirty) {
-            cflag[bisim.mapping.SuperOf(x)] = 1;
-            kflag[bisim.mapping.SuperOf(x)] = 1;
-          }
-          for (VertexId t2 = 0; t2 < num_final; ++t2) {
-            if (cflag[t2]) next_changed.push_back(t2);
-            if (kflag[t2]) next_core.push_back(t2);
-          }
-          next_have_changed = true;
+          NextChangedSets(bisim, next.to_old, dirty, dirty, &next_changed,
+                          &next_core);
           lrep.correspondence_ms += t_corr.ElapsedMillis();
         }
         done = true;
@@ -408,158 +478,36 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
     }
 
     // Tier 2 — seeded: transport the old partition into a seed through the
-    // correspondence; dirty comes from the propagated changed set (plus
-    // orphans) when provenance survives, and from the legacy O(V+E) drift
-    // scan only after a wholesale layer erased it.
+    // correspondence; dirty comes from the propagated changed set plus
+    // orphans. Past the dirty bound the layer goes wholesale instead.
     if (!done && incremental_eligible) {
       const BisimMapping& old_map = index.Layer(i).mapping;
       Timer t_corr;
       const size_t old_num = index.LayerGraph(i).NumVertices();
-      std::vector<VertexId> seed(n), dirty;
-      VertexId fresh = static_cast<VertexId>(old_num);
-      // Lost-member rule: an old vertex with no new counterpart silently
-      // changes its old block's quotient behavior (the survivors' own
-      // signatures are untouched, so nothing else dirties them). Splits
-      // never need this — survivors stay signature-uniform — but the
-      // localized merge scan does: the whole block must enter its working
-      // set, so every surviving member goes into the merge core.
-      std::vector<char> lost(old_num, 0);
-      bool any_lost = false;
-      for (VertexId s = 0; s < corr.to_new.size(); ++s) {
-        if (corr.to_new[s] == kInvalidVertex) {
-          lost[old_map.SuperOf(s)] = 1;
-          any_lost = true;
-        }
-      }
-      // Core: the subset of dirty whose quotient-level behavior genuinely
-      // differs from the old layer — propagated core from below, orphans,
-      // and survivors of lost-member blocks. The renaming-only vertices the
-      // in-neighbor rule adds to `changed` stay out: the merge scan's
-      // backward closure recovers them through their edge into a core block.
-      std::vector<VertexId> core_vertices;
-      if (link.have_changed) {
-        std::vector<char> dflag(n, 0);
-        std::vector<char> kflag(n, 0);
-        for (VertexId x : link.changed) {
-          if (!dflag[x]) {
-            dflag[x] = 1;
-            dirty.push_back(x);
-          }
-        }
-        for (VertexId x : link.core) {
-          if (!kflag[x]) {
-            kflag[x] = 1;
-            core_vertices.push_back(x);
-          }
-        }
-        for (VertexId x = 0; x < n; ++x) {
-          const VertexId s =
-              x < corr.to_old.size() ? corr.to_old[x] : kInvalidVertex;
-          if (s == kInvalidVertex) {
-            seed[x] = fresh++;
-            if (!dflag[x]) {
-              dflag[x] = 1;
-              dirty.push_back(x);
-            }
-            if (!kflag[x]) {
-              kflag[x] = 1;
-              core_vertices.push_back(x);
-            }
-            continue;
-          }
-          seed[x] = old_map.SuperOf(s);
-          // Lost-block survivors only feed the merge scan — their own
-          // signatures are unchanged, so phase 1 need not re-sign them.
-          if (any_lost && lost[seed[x]] && !kflag[x]) {
-            kflag[x] = 1;
-            core_vertices.push_back(x);
-          }
-        }
-      } else {
-        // Legacy drift scan: orphans + vertices whose generalized label or
-        // (correspondence-mapped) out-neighborhood drifted — exactly the
-        // vertices whose signature the old stability proof no longer covers.
-        std::vector<VertexId> mapped;
-        for (VertexId x = 0; x < n; ++x) {
-          const VertexId s =
-              x < corr.to_old.size() ? corr.to_old[x] : kInvalidVertex;
-          if (s == kInvalidVertex) {
-            seed[x] = fresh++;
-            dirty.push_back(x);
-            continue;
-          }
-          seed[x] = old_map.SuperOf(s);
-          if (any_lost && lost[seed[x]]) {
-            dirty.push_back(x);
-            continue;
-          }
-          if (config.Generalize(cur_new->label(x)) !=
-              config.Generalize(old_below.label(s))) {
-            dirty.push_back(x);
-            continue;
-          }
-          mapped.clear();
-          bool drifted = false;
-          for (VertexId t : old_below.OutNeighbors(s)) {
-            const VertexId y = corr.to_new[t];
-            if (y == kInvalidVertex) {
-              drifted = true;
-              break;
-            }
-            mapped.push_back(y);
-          }
-          if (!drifted) {
-            std::sort(mapped.begin(), mapped.end());
-            auto out = cur_new->OutNeighbors(x);
-            drifted = !std::equal(mapped.begin(), mapped.end(), out.begin(),
-                                  out.end());
-          }
-          if (drifted) dirty.push_back(x);
-        }
-      }
+      TransportedSeed transported = TransportSeed(link, old_map, old_num, n);
+      const std::vector<VertexId>& dirty = transported.dirty;
       lrep.correspondence_ms += t_corr.ElapsedMillis();
 
-      Timer t_gen;
-      std::span<const LabelId> glabels = cur_new->labels();
-      std::vector<LabelId> glabels_storage;
-      if (!config.empty()) {
-        const std::vector<LabelId>* table = GetGenTable(
-            config, cur_new->LabelSlots(), i, state, &table_scratch);
-        glabels_storage.resize(n);
-        for (VertexId v = 0; v < n; ++v) {
-          glabels_storage[v] = (*table)[cur_new->label(v)];
-        }
-        glabels = glabels_storage;
-      }
-      lrep.generalize_ms += t_gen.ElapsedMillis();
+      if (static_cast<double>(dirty.size()) <= dirty_bound) {
+        Timer t_gen;
+        const std::vector<LabelId> glabels =
+            GeneralizedLabels(*cur_new, config, gen_table);
+        lrep.generalize_ms += t_gen.ElapsedMillis();
 
-      Timer t_ref;
-      IncrementalBisimOptions iopts;
-      iopts.fallback_dirty_ratio = options.fallback_dirty_ratio;
-      iopts.pool = pool;
-      iopts.labels = glabels;
-      // Seed values are old supernode ids plus at most n fresh orphan ids;
-      // the old partition is a true maximal bisimulation and `dirty` covers
-      // every behavior drift (changed set / drift scan + lost-member rule),
-      // so the localized merge scan applies.
-      iopts.seed_id_bound = old_num + n;
-      iopts.seed_maximal = true;
-      // Legacy drift scan: every dirty vertex is a genuine behavior change,
-      // so the empty default (merge scan seeds from `dirty`) is already the
-      // tight core.
-      iopts.merge_changed = core_vertices;
-      IncrementalBisimTrace trace;
-      auto result = IncrementalBisimulation(*cur_new, seed, dirty, iopts,
-                                            &lrep.stats, &trace);
-      if (!result.ok()) return result.status();
-      bisim = std::move(*result);
-      lrep.refine_ms += t_ref.ElapsedMillis();
-      lrep.mode = lrep.stats.fell_back ? LayerMaintenance::kWholesale
-                                       : LayerMaintenance::kIncremental;
+        Timer t_ref;
+        IncrementalBisimOptions iopts;
+        iopts.pool = pool;
+        iopts.labels = glabels;
+        iopts.merge_changed = transported.core;
+        IncrementalBisimTrace trace;
+        auto result = IncrementalBisimulation(*cur_new, transported.seed,
+                                              dirty, iopts, &lrep.stats,
+                                              &trace);
+        if (!result.ok()) return result.status();
+        bisim = std::move(*result);
+        lrep.refine_ms += t_ref.ElapsedMillis();
+        lrep.mode = LayerMaintenance::kIncremental;
 
-      if (lrep.stats.fell_back) {
-        need_legacy_corr = true;
-      } else {
         // Next correspondence in O(#blocks) from the seed-provenance trace:
         // an old supernode survives iff its block is intact AND no old
         // member was orphaned (the member-count check — intact only proves
@@ -580,31 +528,17 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
           next.to_new[s] = t2;
           next.to_old[t2] = s;
         }
-        std::vector<char> cflag(num_final, 0);
-        std::vector<char> kflag(num_final, 0);
-        for (VertexId t2 = 0; t2 < num_final; ++t2) {
-          if (next.to_old[t2] == kInvalidVertex) cflag[t2] = kflag[t2] = 1;
-        }
-        for (VertexId t2 = 0; t2 < num_final; ++t2) {
-          if (next.to_old[t2] != kInvalidVertex) continue;
-          for (VertexId u : bisim.summary.InNeighbors(t2)) cflag[u] = 1;
-        }
-        for (VertexId x : dirty) cflag[bisim.mapping.SuperOf(x)] = 1;
-        const std::vector<VertexId>& core_src =
-            link.have_changed ? core_vertices : dirty;
-        for (VertexId x : core_src) kflag[bisim.mapping.SuperOf(x)] = 1;
-        for (VertexId t2 = 0; t2 < num_final; ++t2) {
-          if (cflag[t2]) next_changed.push_back(t2);
-          if (kflag[t2]) next_core.push_back(t2);
-        }
-        next_have_changed = true;
+        NextChangedSets(bisim, next.to_old, dirty, transported.core,
+                        &next_changed, &next_core);
         lrep.correspondence_ms += t_nc.ElapsedMillis();
+        done = true;
       }
-      done = true;
     }
 
-    // Tier 3 — wholesale: config drift, force_wholesale, new layers beyond
-    // the old stack, or no usable correspondence.
+    // Tier 3 — wholesale: config drift, new layers beyond the old stack, a
+    // dirty frontier past the bound, or no usable correspondence (a wholesale
+    // layer below). It leaves `next` unusable, so every layer above is
+    // wholesale as well.
     if (!done) {
       Timer t_gen;
       Graph generalized;
@@ -617,7 +551,6 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
       bisim = ComputeBisimulation(generalized, wholesale_opts);
       lrep.refine_ms += t_ref.ElapsedMillis();
       lrep.mode = LayerMaintenance::kWholesale;
-      need_legacy_corr = true;
     }
 
     // Build's exact stop test.
@@ -626,41 +559,6 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
             ? 1.0
             : static_cast<double>(bisim.summary.Size()) / cur_new->Size();
     if (config.empty() && ratio > opts.stop_ratio) break;
-
-    // Legacy member-set rematch (kept only for the no-provenance paths):
-    // old layer-i supernode s matches new supernode t iff s's members map
-    // (through the level-below correspondence) exactly onto t's members.
-    if (need_legacy_corr && have_old_layer && corr.usable) {
-      Timer t_corr;
-      const Graph& old_layer_graph = index.LayerGraph(i);
-      const BisimMapping& old_map = index.Layer(i).mapping;
-      next.usable = true;
-      next.to_new.assign(old_layer_graph.NumVertices(), kInvalidVertex);
-      next.to_old.assign(bisim.summary.NumVertices(), kInvalidVertex);
-      std::vector<VertexId> mapped;
-      for (VertexId s = 0; s < old_layer_graph.NumVertices(); ++s) {
-        mapped.clear();
-        bool ok = true;
-        for (VertexId m : old_map.Members(s)) {
-          const VertexId y = corr.to_new[m];
-          if (y == kInvalidVertex) {
-            ok = false;
-            break;
-          }
-          mapped.push_back(y);
-        }
-        if (!ok || mapped.empty()) continue;
-        std::sort(mapped.begin(), mapped.end());
-        const VertexId t = bisim.mapping.SuperOf(mapped[0]);
-        auto members = bisim.mapping.Members(t);
-        if (std::equal(mapped.begin(), mapped.end(), members.begin(),
-                       members.end())) {
-          next.to_new[s] = t;
-          next.to_old[t] = s;
-        }
-      }
-      lrep.correspondence_ms += t_corr.ElapsedMillis();
-    }
 
     IndexLayer layer;
     layer.config = std::move(config);
@@ -672,7 +570,6 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
     link.corr = std::move(next);
     link.have_delta = next_have_delta;
     link.delta = std::move(next_delta);
-    link.have_changed = next_have_changed;
     link.changed = std::move(next_changed);
     link.core = std::move(next_core);
   }

@@ -4,6 +4,7 @@
 #ifndef BIGINDEX_UTIL_TIMER_H_
 #define BIGINDEX_UTIL_TIMER_H_
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -41,12 +42,15 @@ class Deadline {
   /// Never expires.
   Deadline() : deadline_(Clock::time_point::max()) {}
 
-  /// Expires `budget_ms` from now. A non-positive budget is already expired.
+  /// Expires `budget_ms` from now. A non-positive budget is already expired;
+  /// one beyond kMaxBudgetMs never expires (converting it would overflow the
+  /// clock's integer ticks).
   static Deadline After(double budget_ms) {
+    if (budget_ms >= kMaxBudgetMs) return Never();
     Deadline d;
     d.deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                      std::chrono::duration<double, std::milli>(
-                                         budget_ms));
+                                         std::max(budget_ms, -kMaxBudgetMs)));
     return d;
   }
 
@@ -68,6 +72,9 @@ class Deadline {
 
  private:
   using Clock = std::chrono::steady_clock;
+  /// ~31 years: far past any request, far inside the clock's ~292-year
+  /// nanosecond range.
+  static constexpr double kMaxBudgetMs = 1e12;
   Clock::time_point deadline_;
 };
 

@@ -279,7 +279,7 @@ TEST(TraceTest, NestedSpansDumpWithTimeContainment) {
       // Volatile spin so inner (and outer) have measurable width even on a
       // coarse steady clock.
       volatile uint64_t sink = 0;
-      for (int i = 0; i < 200000; ++i) sink += static_cast<uint64_t>(i);
+      for (int i = 0; i < 200000; ++i) sink = sink + static_cast<uint64_t>(i);
     }
   }
   tracer.SetEnabled(false);

@@ -24,11 +24,14 @@
 #include "obs/metrics.h"
 #include "server/line_protocol.h"
 #include "server/search_service.h"
+#include "testing/same_bytes.h"
 #include "update/live_updater.h"
 #include "update/version_store.h"
 
 namespace bigindex {
 namespace {
+
+using bigindex::testing::SameBytes;
 
 GraphUpdate Add(VertexId u, VertexId v) {
   return {GraphUpdate::Kind::kAddEdge, u, v};
@@ -221,8 +224,8 @@ TEST(LiveUpdater, SuccessorMatchesRebuildAndSwapInstallsIt) {
   ASSERT_TRUE(updated.ok());
   auto rebuilt = BigIndex::Build(*updated, &fx.ontology, {.max_layers = 2});
   ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(Serialize(*fx.updater.versions().Current()->index),
-            Serialize(*rebuilt));
+  EXPECT_TRUE(SameBytes(Serialize(*fx.updater.versions().Current()->index),
+                        Serialize(*rebuilt)));
   // The serving engine now evaluates over the successor index.
   EXPECT_EQ(fx.service.engine_snapshot()->index().base().NumEdges(),
             updated->NumEdges());
@@ -232,20 +235,22 @@ TEST(LiveUpdater, RollbackRestoresPreviousGeneration) {
   UpdateFixture fx;
   const std::string original = Serialize(*fx.index);
   ASSERT_TRUE(fx.updater.Apply(std::vector<GraphUpdate>{Add(3, 4)}).ok());
-  EXPECT_NE(Serialize(*fx.updater.versions().Current()->index), original);
+  EXPECT_FALSE(
+      SameBytes(Serialize(*fx.updater.versions().Current()->index), original));
 
   const uint64_t epoch_before = fx.service.epoch();
   auto rolled = fx.updater.Rollback();
   ASSERT_TRUE(rolled.ok());
   EXPECT_GT(*rolled, epoch_before);  // rollback swaps: readers see a bump
-  EXPECT_EQ(Serialize(*fx.updater.versions().Current()->index), original);
+  EXPECT_TRUE(
+      SameBytes(Serialize(*fx.updater.versions().Current()->index), original));
   EXPECT_EQ(fx.updater.Rollback().status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(LiveUpdater, ForceWholesaleReportsFallbackMode) {
   LiveUpdaterOptions opts;
-  opts.maintain.force_wholesale = true;
+  opts.maintain.fallback_dirty_ratio = 0;  // every layer wholesale
   UpdateFixture fx(ToggleGraph(), {}, std::move(opts));
   auto outcome = fx.updater.Apply(std::vector<GraphUpdate>{Add(3, 4)});
   ASSERT_TRUE(outcome.ok());

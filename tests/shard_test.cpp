@@ -168,7 +168,9 @@ StatusOr<QueryResult> QueryTwice(ShardedSearchService& service,
   auto repeat = service.Query(q);
   EXPECT_TRUE(repeat.ok()) << repeat.status().ToString();
   EXPECT_EQ(service.Snapshot().cache_hits, hits + 1) << "repeat missed";
-  if (repeat.ok()) EXPECT_EQ(repeat->answers, first->answers);
+  if (repeat.ok()) {
+    EXPECT_EQ(repeat->answers, first->answers);
+  }
   return first;
 }
 

@@ -23,6 +23,7 @@
 #include "graph/label_dictionary.h"
 #include "shard/shard_build.h"
 #include "testing/random_graph.h"
+#include "testing/same_bytes.h"
 #include "update/incremental.h"
 #include "update/maintain.h"
 #include "util/random.h"
@@ -35,6 +36,7 @@ using bigindex::testing::MakeRandomInstance;
 using bigindex::testing::RandomGraphOptions;
 using bigindex::testing::RandomInstance;
 using bigindex::testing::RandomOntologyOptions;
+using bigindex::testing::SameBytes;
 
 GraphUpdate Add(VertexId u, VertexId v) {
   return {GraphUpdate::Kind::kAddEdge, u, v};
@@ -268,13 +270,9 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
         seed_partition[v] = current.mapping.SuperOf(v);
       }
-      IncrementalBisimOptions iopt;
-      iopt.fallback_dirty_ratio = 1.0;  // force the localized path
-      IncrementalBisimStats stats;
-      auto incremental = IncrementalBisimulation(
-          next, seed_partition, DirtySources(*delta), iopt, &stats);
+      auto incremental =
+          IncrementalBisimulation(next, seed_partition, DirtySources(*delta));
       ASSERT_TRUE(incremental.ok());
-      EXPECT_FALSE(stats.fell_back);
       ++incremental_runs;
 
       BisimResult wholesale = ComputeBisimulation(next);
@@ -288,29 +286,6 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
   EXPECT_GE(incremental_runs, 300u);
 }
 
-TEST(IncrementalBisimTest, FallbackThresholdTriggersWholesale) {
-  RandomGraphOptions opt;
-  opt.seed = 3;
-  opt.num_vertices = 100;
-  Graph g = MakeRandomGraph(opt);
-  BisimResult before = ComputeBisimulation(g);
-  auto g1 = ApplyUpdates(g, std::vector<GraphUpdate>{Add(0, 1)});
-  ASSERT_TRUE(g1.ok());
-  std::vector<VertexId> seed(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    seed[v] = before.mapping.SuperOf(v);
-  }
-  IncrementalBisimOptions iopt;
-  iopt.fallback_dirty_ratio = 0.0;  // everything falls back
-  IncrementalBisimStats stats;
-  auto result =
-      IncrementalBisimulation(*g1, seed, std::vector<VertexId>{0}, iopt,
-                              &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(stats.fell_back);
-  ExpectSameBisim(ComputeBisimulation(*g1), *result, "fallback");
-}
-
 TEST(IncrementalBisimTest, RejectsMalformedInput) {
   Graph g = MakeGraph(3, 0, {});
   EXPECT_FALSE(
@@ -318,6 +293,9 @@ TEST(IncrementalBisimTest, RejectsMalformedInput) {
   std::vector<VertexId> seed{0, 0, 0};
   EXPECT_FALSE(
       IncrementalBisimulation(g, seed, std::vector<VertexId>{9}).ok());
+  std::vector<VertexId> invalid_seed{0, kInvalidVertex, 0};
+  EXPECT_FALSE(
+      IncrementalBisimulation(g, invalid_seed, std::vector<VertexId>{0}).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +338,8 @@ TEST(MaintainIndexTest, MatchesFromScratchBuildOnRandomStreams) {
       ASSERT_TRUE(rebuilt.ok());
 
       const size_t slots = inst.ontology.LabelSlots();
-      EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots))
+      EXPECT_TRUE(
+          SameBytes(Serialize(*maintained, slots), Serialize(*rebuilt, slots)))
           << "seed " << seed << " step " << step;
       base = std::move(*updated_base);
       current = std::move(*maintained);
@@ -368,7 +347,9 @@ TEST(MaintainIndexTest, MatchesFromScratchBuildOnRandomStreams) {
   }
 }
 
-TEST(MaintainIndexTest, ForceWholesaleMatchesIncremental) {
+// fallback_dirty_ratio = 0 sends every layer down the wholesale path, and
+// the result is still the rebuild, byte for byte.
+TEST(MaintainIndexTest, ZeroFallbackRatioMakesEveryLayerWholesale) {
   RandomInstance inst = MakeInstance(7);
   BigIndexOptions opts;
   opts.max_layers = 3;
@@ -376,14 +357,66 @@ TEST(MaintainIndexTest, ForceWholesaleMatchesIncremental) {
   ASSERT_TRUE(index.ok());
   auto batch = MakeRandomBatch(inst.graph, 8, 1234);
 
-  MaintainOptions wholesale;
-  wholesale.force_wholesale = true;
-  auto a = MaintainIndex(*index, batch, MaintainOptions{});
-  auto b = MaintainIndex(*index, batch, wholesale);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  MaintainReport report;
+  auto maintained =
+      MaintainIndex(*index, batch, {.fallback_dirty_ratio = 0}, &report);
+  ASSERT_TRUE(maintained.ok());
+  ASSERT_FALSE(report.delta.empty());
+  ASSERT_FALSE(report.layers.empty());
+  for (size_t i = 0; i < report.layers.size(); ++i) {
+    EXPECT_EQ(report.layers[i].mode, LayerMaintenance::kWholesale)
+        << "layer " << i + 1;
+  }
+  auto updated_base = ApplyUpdates(inst.graph, batch);
+  ASSERT_TRUE(updated_base.ok());
+  auto rebuilt = BigIndex::Build(*updated_base, &inst.ontology, opts);
+  ASSERT_TRUE(rebuilt.ok());
   const size_t slots = inst.ontology.LabelSlots();
-  EXPECT_EQ(Serialize(*a, slots), Serialize(*b, slots));
+  EXPECT_TRUE(
+      SameBytes(Serialize(*maintained, slots), Serialize(*rebuilt, slots)));
+}
+
+// A wholesale layer erases the provenance the localized tiers need, so every
+// layer above it is wholesale too. Searches seeded instances for batches
+// whose maintenance goes wholesale above the first layer and checks the rule
+// and the bytes on each.
+TEST(MaintainIndexTest, LayersAboveAWholesaleLayerAreWholesale) {
+  size_t mid_stack = 0;
+  for (uint64_t seed = 0; seed < 100; ++seed) {
+    RandomInstance inst = MakeInstance(seed);
+    BigIndexOptions opts;
+    opts.max_layers = 4;
+    auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
+    ASSERT_TRUE(index.ok());
+    auto batch = MakeRandomBatch(inst.graph, 2 + seed % 24, seed * 53 + 9);
+    MaintainReport report;
+    auto maintained = MaintainIndex(*index, batch, MaintainOptions{}, &report);
+    ASSERT_TRUE(maintained.ok()) << "seed " << seed;
+
+    size_t first_wholesale = report.layers.size();
+    for (size_t i = 0; i < report.layers.size(); ++i) {
+      if (report.layers[i].mode == LayerMaintenance::kWholesale) {
+        first_wholesale = i;
+        break;
+      }
+    }
+    if (first_wholesale == report.layers.size()) continue;
+    if (first_wholesale > 0) ++mid_stack;
+    for (size_t i = first_wholesale; i < report.layers.size(); ++i) {
+      EXPECT_EQ(report.layers[i].mode, LayerMaintenance::kWholesale)
+          << "seed " << seed << " layer " << i + 1;
+    }
+    auto updated_base = ApplyUpdates(inst.graph, batch);
+    ASSERT_TRUE(updated_base.ok());
+    auto rebuilt = BigIndex::Build(*updated_base, &inst.ontology, opts);
+    ASSERT_TRUE(rebuilt.ok());
+    const size_t slots = inst.ontology.LabelSlots();
+    EXPECT_TRUE(
+        SameBytes(Serialize(*maintained, slots), Serialize(*rebuilt, slots)))
+        << "seed " << seed;
+  }
+  // The sweep must reach the case the rule is about.
+  EXPECT_GT(mid_stack, 0u);
 }
 
 TEST(MaintainIndexTest, NoNetChangeReturnsUnchangedIndex) {
@@ -400,7 +433,8 @@ TEST(MaintainIndexTest, NoNetChangeReturnsUnchangedIndex) {
   EXPECT_TRUE(report.delta.empty());
   EXPECT_EQ(report.LayersRebuilt(), 0u);
   const size_t slots = inst.ontology.LabelSlots();
-  EXPECT_EQ(Serialize(*maintained, slots), Serialize(*index, slots));
+  EXPECT_TRUE(
+      SameBytes(Serialize(*maintained, slots), Serialize(*index, slots)));
 }
 
 TEST(MaintainIndexTest, EdgeSemanticsMatchWholesalePath) {
@@ -428,7 +462,8 @@ TEST(MaintainIndexTest, EdgeSemanticsMatchWholesalePath) {
   auto rebuilt = BigIndex::Build(*updated_base, &inst.ontology, opts);
   ASSERT_TRUE(rebuilt.ok());
   const size_t slots = inst.ontology.LabelSlots();
-  EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots));
+  EXPECT_TRUE(
+      SameBytes(Serialize(*maintained, slots), Serialize(*rebuilt, slots)));
   EXPECT_TRUE(maintained->base().HasEdge(1, 1));
   EXPECT_FALSE(maintained->base().HasEdge(2, 3));
   EXPECT_TRUE(maintained->base().HasEdge(0, 0));
@@ -453,7 +488,8 @@ TEST(MaintainIndexTest, GreedyConfigFallsBackToFullRebuild) {
     auto rebuilt = BigIndex::Build(*updated_base, &inst.ontology, opts);
     ASSERT_TRUE(rebuilt.ok());
     const size_t slots = inst.ontology.LabelSlots();
-    EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots));
+    EXPECT_TRUE(
+        SameBytes(Serialize(*maintained, slots), Serialize(*rebuilt, slots)));
   }
 }
 
@@ -506,8 +542,8 @@ void ExpectTogglesMatchRebuild(BigIndex current, const Ontology& ontology,
     auto rebuilt = BigIndex::Build(*updated_base, &ontology, options);
     ASSERT_TRUE(rebuilt.ok());
     std::string image = Serialize(*maintained, slots, shard);
-    ASSERT_TRUE(image == Serialize(*rebuilt, slots, shard))
-        << "images differ at step " << step << ": maintained "
+    ASSERT_TRUE(SameBytes(image, Serialize(*rebuilt, slots, shard)))
+        << "at step " << step << ": maintained "
         << maintained->NumLayers() << " layer(s), rebuilt "
         << rebuilt->NumLayers();
     current = LoadImage(std::move(image), ontology);

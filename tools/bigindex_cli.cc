@@ -29,13 +29,15 @@
 //           bigindex_serverd --shard-of loads.
 //   update  <graph.in> <ontology.in> <index.img>
 //           (add:<u>:<v>|remove:<u>:<v>)... [--out <index.img>] [--check]
-//           [--fallback-ratio F] [--force-wholesale]
+//           [--fallback-ratio F]
 //           Apply an edge-update batch to a built index offline via
 //           incremental maintenance (update/maintain.h) and print the
 //           per-layer maintenance report. --out writes the successor
 //           index image; --check additionally rebuilds from scratch on the
 //           updated graph and verifies the successor's image bytes are
-//           identical (exit 1 on divergence).
+//           identical (exit 1 on divergence). --fallback-ratio sets the
+//           dirty-frontier ratio past which a layer and every layer above
+//           it is re-summarized wholesale (default 0.5; 0 = all wholesale).
 //
 // Every index file is a flat mmap image (core/index_image.h), the one
 // index format; `inspect` dumps its header and section table.
@@ -92,7 +94,7 @@ int Usage() {
                "  bigindex_cli update <graph> <ontology> <index.img> "
                "(add:<u>:<v>|remove:<u>:<v>)...\n"
                "               [--out <index.img>] [--check]"
-               " [--fallback-ratio F] [--force-wholesale]\n");
+               " [--fallback-ratio F (0 = every layer wholesale)]\n");
   return 1;
 }
 
@@ -479,8 +481,6 @@ int CmdUpdate(int argc, char** argv) {
       check = true;
     } else if (std::strcmp(argv[i], "--fallback-ratio") == 0) {
       mopt.fallback_dirty_ratio = std::atof(next("--fallback-ratio"));
-    } else if (std::strcmp(argv[i], "--force-wholesale") == 0) {
-      mopt.force_wholesale = true;
     } else {
       pos.push_back(argv[i]);
     }

@@ -5,8 +5,8 @@
 # cross-thread sharing, including the update differential gate and the
 # cache-epoch race test) plus the multi-process coordinator/shard
 # integration test (which now drives the UPDATE verb end to end), then an
-# ASan+UBSan pass over the index-image fuzz suite (the hostile-bytes path),
-# then a docs-link check, a metrics-overhead smoke, a
+# ASan+UBSan pass over the index-image and line-protocol fuzz suites (the
+# hostile-bytes paths), then a docs-link check, a metrics-overhead smoke, a
 # parallel-construction smoke, an index-image cold-start smoke, the shard
 # scatter-gather throughput gate, a maintenance differential smoke, a
 # maintained-depth smoke on an image-loaded index, the maintenance speedup
@@ -16,6 +16,8 @@
 #   tools/ci.sh [jobs]
 #
 # Uses separate build trees so the sanitized build never dirties the main one.
+# The sanitizer trees build with warnings as errors, so a change that adds a
+# compiler warning fails here (the tier-1 build/ tree keeps the default).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,7 +30,8 @@ ctest --test-dir build --output-on-failure -j"$JOBS"
 
 echo
 echo "=== tsan: engine + server + shard tests (build-tsan/) ==="
-cmake -B build-tsan -S . -DBIGINDEX_SANITIZE=thread >/dev/null
+cmake -B build-tsan -S . -DBIGINDEX_SANITIZE=thread \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build-tsan -j"$JOBS" --target bigindex_tests bigindex_serverd \
   bigindex_client
 # halt_on_error makes any race a hard failure rather than a log line. The
@@ -49,14 +52,18 @@ echo "=== tsan: multi-process coordinator/shard integration ==="
 tools/shard_integration.sh build-tsan
 
 echo
-echo "=== asan+ubsan: index-image fuzz (build-asan/) ==="
-cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address >/dev/null
-cmake --build build-asan -j"$JOBS" --target bigindex_tests
-# The fuzz suite feeds truncated/corrupted images through the mmap loader;
-# any out-of-bounds read or UB under hostile bytes is a hard failure.
+echo "=== asan+ubsan: index-image + line-protocol fuzz (build-asan/) ==="
+cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
+# The examples build here too, so their warnings fail CI as well.
+cmake --build build-asan -j"$JOBS" --target bigindex_tests quickstart \
+  movie_search knowledge_graph_search general_graph_search index_explorer
+# The fuzz suites feed truncated/corrupted images through the mmap loader
+# and mutated lines through the protocol handler and client parsers; any
+# out-of-bounds read or UB under hostile bytes is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*'
+  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
